@@ -158,8 +158,8 @@ class LpController(Controller):
         self.phase = "inference"
         duration = self.inference_rtts * (flow.srtt if flow.srtt else rtt)
         self._inference_handle = flow.sim.schedule_after(
-            duration, engine.INFERENCE_PHASE_END,
-            lambda: self._inference_end(), label="flow%s" % flow.flow_id)
+            duration, engine.INFERENCE_PHASE_END, self._inference_end,
+            label="flow%s" % flow.flow_id)
 
     def _collapse(self, flow):
         """Persistent congestion: drop to the minimum window and rebuild
@@ -344,8 +344,35 @@ class GainTargetCoords:
         return cls(G=gamma * tau, T=tau / full)
 
 
+class ParamError(ValueError):
+    """A controller parameter of the wrong type or out of range; `param`
+    names it."""
+
+    def __init__(self, param, problem):
+        super().__init__("%s %s" % (param, problem))
+        self.param = param
+
+
+def _param(params, name, default, low, high=INF, low_open=True):
+    """Pop a numeric parameter and check that it is finite and in its range,
+    open at `low` unless low_open is False and closed at a finite `high`.
+    An absent parameter without a default gives None."""
+    value = params.pop(name, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParamError(name, "must be a number, got %r" % (value,))
+    above_low = low < value if low_open else low <= value
+    if not (math.isfinite(value) and above_low and value <= high):
+        raise ParamError(name, "must be in %s%g, %g%s, got %r"
+                         % ("(" if low_open else "[", low, high,
+                            "]" if high < INF else ")", value))
+    return value
+
+
 def make_controller(protocol, params=None):
-    """Build a controller from a protocol tag and a parameter mapping."""
+    """Build a controller from a protocol tag and a parameter mapping.
+    Parameters of the wrong type or out of range raise ParamError."""
     params = dict(params or {})
     if protocol == "reno":
         if params:
@@ -353,17 +380,17 @@ def make_controller(protocol, params=None):
         return RenoController()
     if protocol == "lp":
         return LpController(
-            alpha=params.pop("alpha", 0.125),
-            delta=params.pop("delta", 0.15),
-            inference_rtts=params.pop("inference_rtts", 3.0),
+            alpha=_param(params, "alpha", 0.125, 0.0, 1.0),
+            delta=_param(params, "delta", 0.15, 0.0, 1.0, low_open=False),
+            inference_rtts=_param(params, "inference_rtts", 3.0, 0.0),
             **_reject_left(params, "lp"))
     if protocol == "nice":
         return NiceController(
-            delta=params.pop("delta", 0.2),
-            phi=params.pop("phi", 0.5),
-            floor=params.pop("floor", 1.0 / 48.0),
-            history_s=params.pop("history_s", 10.0),
-            increase_rate=params.pop("increase_rate", 20.0),
+            delta=_param(params, "delta", 0.2, 0.0, 1.0, low_open=False),
+            phi=_param(params, "phi", 0.5, 0.0, 1.0, low_open=False),
+            floor=_param(params, "floor", 1.0 / 48.0, 0.0, 1.0),
+            history_s=_param(params, "history_s", 10.0, 0.0),
+            increase_rate=_param(params, "increase_rate", 20.0, 0.0, low_open=False),
             **_reject_left(params, "nice"))
     if protocol == "ledbat":
         return _make_ledbat(params)
@@ -377,11 +404,13 @@ def _reject_left(params, proto):
 
 
 def _make_ledbat(params):
-    tau_ms = params.pop("tau_ms", None)
-    t_pct = params.pop("T_pct", None)
-    gamma = params.pop("gamma", None)
-    g = params.pop("G", None)
-    slow_start = bool(params.pop("slow_start", False))
+    tau_ms = _param(params, "tau_ms", None, 0.0)
+    t_pct = _param(params, "T_pct", None, 0.0)
+    gamma = _param(params, "gamma", None, 0.0)
+    g = _param(params, "G", None, 0.0)
+    slow_start = params.pop("slow_start", False)
+    if not isinstance(slow_start, bool):
+        raise ParamError("slow_start", "must be true or false, got %r" % (slow_start,))
     scen = params.pop("_scenario", None)  # (capacity_bps, pkt_size, buffer)
     _reject_left(params, "ledbat")
     if tau_ms is not None and t_pct is not None:
@@ -394,10 +423,10 @@ def _make_ledbat(params):
         tau = GainTargetCoords(G=1.0, T=t_pct / 100.0).to_params(*scen)[1]
     else:
         tau = (tau_ms if tau_ms is not None else 25.0) / 1000.0
-    if tau <= 0:
+    if not tau > 0:  # a positive tau_ms can underflow
         raise ValueError("ledbat target must be positive")
     if gamma is None:
         gamma = (g if g is not None else 1.0) / tau
-    if gamma <= 0:
-        raise ValueError("ledbat gain must be positive")
+    if not gamma < INF:
+        raise ValueError("ledbat gain must be finite")
     return LedbatController(tau=tau, gamma=gamma, slow_start=slow_start)

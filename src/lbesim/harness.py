@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import engine, metrics
-from .controllers import make_controller
+from .controllers import ParamError, make_controller
 from .engine import Simulator
 from .network import BottleneckLink
 from .transport import FlowEndpoint
@@ -25,7 +25,17 @@ EXPERIMENT_IDS = ("fig1", "fig2_gain", "fig2_target", "fig3_gain_ratio",
 
 
 class ConfigError(ValueError):
-    pass
+    """Bad scenario input. `key` is the dotted config field at fault, if
+    one is; load_scenario uses it to name the line that set it."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+
+
+def _finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -48,20 +58,33 @@ class ScenarioConfig:
     def validate(self):
         for name in ("capacity_bps", "fwd_prop_delay_s", "buffer_pkts",
                      "pkt_size_bytes", "horizon_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError("%s must be positive" % name)
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ConfigError("%s must be finite and positive, got %r"
+                                  % (name, value), key=name)
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
         for i, fc in enumerate(self.flows):
             if fc.protocol not in PROTOCOLS:
                 raise ConfigError("flows.%d.protocol: unknown protocol %r"
-                                  % (i, fc.protocol))
-            if fc.extra_return_delay_s < 0 or fc.start_at < 0:
-                raise ConfigError("flows.%d: delays must be non-negative" % i)
+                                  % (i, fc.protocol), key="flows.%d.protocol" % i)
+            for name in ("extra_return_delay_s", "start_at"):
+                value = getattr(fc, name)
+                if not (_finite(value) and value >= 0):
+                    raise ConfigError("flows.%d.%s: delays must be finite and "
+                                      "non-negative, got %r" % (i, name, value),
+                                      key="flows.%d.%s" % (i, name))
+            if fc.start_at >= self.horizon_s:
+                raise ConfigError("flows.%d.start_at: %g is not before the "
+                                  "horizon %g" % (i, fc.start_at, self.horizon_s),
+                                  key="flows.%d.start_at" % i)
             try:
                 self.build_controller(fc)
             except ValueError as exc:
-                raise ConfigError("flows.%d.params: %s" % (i, exc)) from exc
+                key = "flows.%d.params" % i
+                if isinstance(exc, ParamError):
+                    key += "." + exc.param
+                raise ConfigError("flows.%d.params: %s" % (i, exc), key=key) from exc
         return self
 
     def build_controller(self, fc):
@@ -74,14 +97,15 @@ class ScenarioConfig:
 
 # -- config text grammar -------------------------------------------------
 
+# key -> True for a count, False for a real number
 _TOP_KEYS = {
-    "capacity_bps": float,
-    "fwd_prop_delay_ms": float,
-    "buffer_pkts": int,
-    "pkt_size_bytes": int,
-    "horizon_s": float,
+    "capacity_bps": False,
+    "fwd_prop_delay_ms": False,
+    "buffer_pkts": True,
+    "pkt_size_bytes": True,
+    "horizon_s": False,
 }
-_FLOW_KEYS = {"protocol": str, "start_at": float, "extra_return_delay_ms": float}
+_FLOW_KEYS = ("protocol", "start_at", "extra_return_delay_ms")
 
 
 def _parse_value(text):
@@ -96,11 +120,33 @@ def _parse_value(text):
     return t
 
 
+def _number(val, count=False):
+    """A parsed value as a number; ValueError for text or a bool, and for a
+    fractional count, rather than a silent coercion."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError("expected a number, got %r" % (val,))
+    if count:
+        if isinstance(val, float) and not val.is_integer():
+            raise ValueError("expected a whole number, got %r" % (val,))
+        return int(val)
+    return float(val)
+
+
+def _line_of(key, lines):
+    """Line that set config field `key`, or the first line that set a field
+    below it; None if no line did."""
+    if key in lines:
+        return lines[key]
+    below = [n for k, n in lines.items() if k.startswith(key + ".")]
+    return min(below) if below else None
+
+
 def load_scenario(text):
     """Parse and validate a key=value scenario document. Unknown keys are
     rejected; errors carry the offending line number or field name."""
     cfg = ScenarioConfig()
     flows = {}
+    lines = {}  # config field -> line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -113,21 +159,24 @@ def load_scenario(text):
         parts = key.split(".")
         try:
             if parts[0] in _TOP_KEYS and len(parts) == 1:
-                val = _TOP_KEYS[key](val)
+                field = key
+                val = _number(val, _TOP_KEYS[key])
                 if key == "fwd_prop_delay_ms":
-                    cfg.fwd_prop_delay_s = val / 1000.0
-                else:
-                    setattr(cfg, key, val)
+                    field = "fwd_prop_delay_s"
+                    val = val / 1000.0
+                setattr(cfg, field, val)
             elif parts[0] == "flows" and len(parts) >= 3:
                 idx = int(parts[1])
                 fc = flows.setdefault(idx, FlowConfig(protocol="reno"))
+                field = "flows.%d.%s" % (idx, ".".join(parts[2:]))
                 if parts[2] == "params" and len(parts) == 4:
                     fc.params[parts[3]] = val
                 elif parts[2] in _FLOW_KEYS and len(parts) == 3:
                     if parts[2] == "extra_return_delay_ms":
-                        fc.extra_return_delay_s = float(val) / 1000.0
+                        field = "flows.%d.extra_return_delay_s" % idx
+                        fc.extra_return_delay_s = _number(val) / 1000.0
                     elif parts[2] == "start_at":
-                        fc.start_at = float(val)
+                        fc.start_at = _number(val)
                     else:
                         fc.protocol = str(val)
                 else:
@@ -138,12 +187,19 @@ def load_scenario(text):
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError("line %d: bad value for %r: %s" % (lineno, key, exc))
+        lines[field] = lineno
     if flows:
         indices = sorted(flows)
         if indices != list(range(len(indices))):
             raise ConfigError("flow indices must be contiguous from 0")
         cfg.flows = [flows[i] for i in indices]
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except ConfigError as exc:
+        lineno = _line_of(exc.key, lines) if exc.key else None
+        if lineno is None:
+            raise
+        raise ConfigError("line %d: %s" % (lineno, exc), key=exc.key) from exc
 
 
 def set_param(cfg, path, value):
@@ -301,26 +357,41 @@ def sweep_csv(points):
 
 def load_sweep(text):
     """Parse a sweep spec document: axis=, values= (comma separated) and
-    optional repeat=, on top of an ordinary scenario config."""
+    optional repeat=, on top of an ordinary scenario config. Every point
+    is validated before any runs; errors name the line at fault."""
     axis = values = None
     repeat = 1
+    values_line = None
     config_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        key = line.partition("=")[0].strip()
-        if key == "axis":
-            axis = line.partition("=")[2].strip()
-        elif key == "values":
-            values = [_parse_value(v) for v in line.partition("=")[2].split(",")]
-        elif key == "repeat":
-            repeat = int(line.partition("=")[2])
-        else:
+        key, _, val = raw.strip().partition("=")
+        key = key.strip()
+        if key not in ("axis", "values", "repeat"):
             config_lines.append(raw)
+            continue
+        config_lines.append("")  # keeps the scenario lines' numbers
+        if key == "axis":
+            axis = val.strip()
+        elif key == "values":
+            values = [_parse_value(v) for v in val.split(",")]
+            values_line = lineno
+        else:
+            try:
+                repeat = _number(_parse_value(val), count=True)
+            except ValueError as exc:
+                raise ConfigError("line %d: bad value for 'repeat': %s" % (lineno, exc))
+            if repeat < 1:
+                raise ConfigError("line %d: repeat must be at least 1" % lineno)
     if axis is None or not values:
         raise ConfigError("sweep spec needs axis= and values=")
     base = load_scenario("\n".join(config_lines))
     spec = SweepSpec(base=base, axis=axis, values=values, repeat=repeat)
-    spec.point_config(values[0])  # fail early if the axis does not resolve
+    for value in values:
+        try:
+            spec.point_config(value).validate()
+        except ConfigError as exc:
+            raise ConfigError("line %d: %s=%r: %s" % (values_line, axis, value, exc),
+                              key=exc.key) from exc
     return spec
 
 

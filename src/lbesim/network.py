@@ -43,6 +43,11 @@ class BottleneckLink:
     A queue-occupancy sample (backlog before the insertion decision) is
     recorded at every enqueue attempt, drops included, so the normalized
     occupancy metric approaches 1 under saturation.
+
+    Every packet crosses the same propagation delay, so packets reach the
+    far end in the order they finished serializing: the arrival handler
+    takes the head of the `_propagating` FIFO and no event carries its
+    packet.
     """
 
     def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
@@ -56,6 +61,11 @@ class BottleneckLink:
         self.queue_samples = []  # (time_s, backlog) at each enqueue attempt
         self.total_enqueued = 0
         self.total_dropped = 0
+        self._prop_ns = engine.to_ns(self.prop_delay_s)
+        self._tx_ns = {}          # packet size -> serialization time in ns
+        self._labels = {}         # flow id -> event label, filled by _label
+        self._in_service = None   # packet being serialized
+        self._propagating = deque()  # serialized packets, in arrival order
 
     def serialization_s(self, size_bytes):
         return size_bytes * 8.0 / self.capacity_bps
@@ -63,12 +73,13 @@ class BottleneckLink:
     def enqueue(self, p):
         """Offer a data packet to the buffer. Returns True if accepted,
         False if it was tail-dropped (discarded silently)."""
-        self.queue_samples.append((self.sim.now, len(self.queue)))
-        if len(self.queue) >= self.buffer_pkts:
+        queue = self.queue
+        self.queue_samples.append((self.sim.now, len(queue)))
+        if len(queue) >= self.buffer_pkts:
             self.total_dropped += 1
             return False
         self.total_enqueued += 1
-        self.queue.append(p)
+        queue.append(p)
         if not self.busy:
             self.transmit_next()
         return True
@@ -79,23 +90,34 @@ class BottleneckLink:
             return
         p = self.queue.popleft()
         self.busy = True
-        self.sim.schedule_after(
-            self.serialization_s(p.size_bytes),
-            engine.TRANSMISSION_COMPLETE,
-            lambda: self._tx_done(p),
-            label="flow%s" % p.flow_id,
-        )
+        self._in_service = p
+        tx_ns = self._tx_ns.get(p.size_bytes)
+        if tx_ns is None:
+            tx_ns = self._tx_ns[p.size_bytes] = engine.to_ns(
+                self.serialization_s(p.size_bytes))
+        sim = self.sim
+        sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
+                           self._tx_done, self._label(p.flow_id))
 
-    def _tx_done(self, p):
+    def _label(self, flow_id):
+        label = self._labels.get(flow_id)
+        if label is None:
+            label = self._labels[flow_id] = "flow%s" % flow_id
+        return label
+
+    def _tx_done(self):
+        p = self._in_service
+        self._in_service = None
         self.busy = False
-        self.sim.schedule_after(
-            self.prop_delay_s,
-            engine.PACKET_ARRIVAL,
-            lambda: self.on_deliver(p),
-            label="flow%s" % p.flow_id,
-        )
+        self._propagating.append(p)
+        sim = self.sim
+        sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
+                           self._arrive, self._labels[p.flow_id])
         if self.queue:
             self.transmit_next()
+
+    def _arrive(self):
+        self.on_deliver(self._propagating.popleft())
 
     def queued_for(self, flow_id):
         return sum(1 for p in self.queue if p.flow_id == flow_id)
@@ -106,8 +128,8 @@ class BottleneckLink:
             fh.write("%.6f,%d\n" % (t, depth))
 
 
-def return_path_send(sim, ack, delay_s, deliver):
-    """Deliver an ack to the sender after exactly `delay_s`; the return path
-    has no queue and no loss."""
-    sim.schedule_after(delay_s, engine.PACKET_ARRIVAL,
-                       lambda: deliver(ack), label="ack-flow%s" % ack.flow_id)
+def return_path_send(sim, ack, delay_ns, deliver, label=""):
+    """Deliver an ack to the sender after exactly `delay_ns` nanoseconds;
+    the return path has no queue and no loss."""
+    sim.schedule_at_ns(sim.now_ns + delay_ns, engine.PACKET_ARRIVAL,
+                       lambda: deliver(ack), label)

@@ -34,6 +34,9 @@ class FlowEndpoint:
         self.pkt_size = pkt_size_bytes
         self.return_delay_s = return_delay_s
         self.start_at = start_at
+        self._return_ns = engine.to_ns(return_delay_s)
+        self.label = "flow%s" % flow_id
+        self._ack_label = "ack-flow%s" % flow_id
 
         self.cwnd = 1.0
         self.ssthresh = INITIAL_SSTHRESH
@@ -43,13 +46,13 @@ class FlowEndpoint:
         self.dupacks = 0
         self.in_recovery = False
         self.fractional_credit = 0.0
-        self._credit_handle = None
+        self._credit_timer = None
 
         self.srtt = None
         self.rttvar = None
         self.rto = INITIAL_RTO
         self.rto_backoff = 1
-        self._rto_handle = None
+        self._rto_timer = None  # one per flow, moved by every new ack
 
         # receiver side
         self.rx_next = 0
@@ -71,8 +74,8 @@ class FlowEndpoint:
         return math.floor(self.cwnd + self.fractional_credit)
 
     def start(self):
-        self.sim.schedule_at(self.start_at, engine.METRICS_SAMPLE_TICK,
-                             self.try_send, label="start-flow%s" % self.flow_id)
+        self.sim.schedule_at(self.start_at, engine.FLOW_START,
+                             self.try_send, label="start-" + self.label)
 
     # -- sending ---------------------------------------------------------
 
@@ -97,9 +100,9 @@ class FlowEndpoint:
             if self.cwnd < 1.0:
                 # a sub-packet window spends one unit of accumulated credit
                 self.fractional_credit = max(self.fractional_credit - 1.0, 0.0)
-        if sent and self._credit_handle is not None:
-            self.sim.cancel(self._credit_handle)
-            self._credit_handle = None
+        if sent and self._credit_timer is not None:
+            self.sim.cancel(self._credit_timer)
+            self._credit_timer = None
         return sent
 
     def _emit(self, seq):
@@ -109,7 +112,7 @@ class FlowEndpoint:
             self.in_network += 1
         else:
             self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
-        if self._rto_handle is None or not self._rto_handle.pending:
+        if self._rto_timer is None:
             self._arm_rto()
 
     def _maybe_schedule_credit_tick(self):
@@ -118,14 +121,14 @@ class FlowEndpoint:
         packet of allowance is available."""
         if (self.cwnd < 1.0 and self.in_flight == 0
                 and self.window() < 1
-                and (self._credit_handle is None or not self._credit_handle.pending)):
+                and self._credit_timer is None):
             interval = self.srtt if self.srtt else self.rto
-            self._credit_handle = self.sim.schedule_after(
-                interval, engine.METRICS_SAMPLE_TICK, self._credit_tick,
-                label="credit-flow%s" % self.flow_id)
+            self._credit_timer = self.sim.schedule_after(
+                interval, engine.CREDIT_TICK, self._credit_tick,
+                label="credit-" + self.label)
 
     def _credit_tick(self):
-        self._credit_handle = None
+        self._credit_timer = None
         if self.in_flight == 0 and self.cwnd < 1.0:
             self.fractional_credit += self.cwnd
             self.try_send()
@@ -148,15 +151,15 @@ class FlowEndpoint:
                 advanced += 1
         elif p.seq > self.rx_next:
             self.rx_ooo.add(p.seq)
+        now = self.sim.now
         if advanced:
             nbytes = advanced * self.pkt_size
             self.bytes_goodput += nbytes
-            self.goodput_events.append((self.sim.now, nbytes))
-        ack = Packet(self.flow_id, p.seq, ACK_BYTES, self.sim.now,
-                     is_ack=True, ack_no=self.rx_next,
-                     measured_owd=self.sim.now - p.sent_at,
-                     echo_sent_at=p.sent_at)
-        return_path_send(self.sim, ack, self.return_delay_s, self.on_ack_arrival)
+            self.goodput_events.append((now, nbytes))
+        ack = Packet(self.flow_id, p.seq, ACK_BYTES, now, True, self.rx_next,
+                     now - p.sent_at, p.sent_at)
+        return_path_send(self.sim, ack, self._return_ns, self.on_ack_arrival,
+                         self._ack_label)
 
     # -- ack processing --------------------------------------------------
 
@@ -207,19 +210,22 @@ class FlowEndpoint:
         self.rto = max(self.srtt + 4.0 * self.rttvar, MIN_RTO)
 
     def _arm_rto(self):
-        self._rto_handle = self.sim.schedule_after(
-            self.rto * self.rto_backoff, engine.RTO_TIMER, self._on_rto,
-            label="flow%s" % self.flow_id)
+        """Set the retransmission deadline to now + rto * backoff. A pending
+        timer is moved, not replaced (see Simulator.reschedule)."""
+        sim = self.sim
+        self._rto_timer = sim.reschedule(
+            self._rto_timer, sim.now_ns + engine.to_ns(self.rto * self.rto_backoff),
+            engine.RTO_TIMER, self._on_rto, self.label)
 
     def _rearm_rto(self):
-        if self._rto_handle is not None and self._rto_handle.pending:
-            self.sim.cancel(self._rto_handle)
-        self._rto_handle = None
         if self.in_flight > 0:
             self._arm_rto()
+        elif self._rto_timer is not None:
+            self.sim.cancel(self._rto_timer)
+            self._rto_timer = None
 
     def _on_rto(self):
-        self._rto_handle = None
+        self._rto_timer = None
         if self.in_flight == 0:
             return
         self.ssthresh = max(self.in_flight / 2.0, 2.0)

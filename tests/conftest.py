@@ -25,13 +25,18 @@ CATALOG = (
 )
 
 
+def instance_name(exp, proto):
+    """The scenario prefix of a catalog instance, as `lbesim experiment`
+    names it."""
+    return exp if proto is None else "%s-%s" % (exp, proto)
+
+
 def run_catalog():
     """Run every catalog instance; returns {(id, protocol): (points, csv)}."""
     out = {}
     for exp, proto in CATALOG:
         spec = harness.expand_experiment(exp, protocol=proto)
-        prefix = exp if proto is None else "%s-%s" % (exp, proto)
-        points = harness.run_sweep(spec, scenario_prefix=prefix)
+        points = harness.run_sweep(spec, scenario_prefix=instance_name(exp, proto))
         out[(exp, proto)] = (points, harness.sweep_csv(points))
     return out
 

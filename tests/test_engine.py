@@ -163,3 +163,73 @@ def test_cancelled_events_never_fire(events):
     sim.run_until(1.0)
     assert set(fired).isdisjoint(cancelled)
     assert len(fired) == len(events) - len(cancelled)
+
+
+# -- moving a pending event (the lazy RTO deadline) ------------------------
+
+def _play(ops, lazy):
+    """Apply schedule/cancel/move/run steps; a move uses reschedule when
+    lazy, else cancel followed by a fresh schedule_at_ns. Returns the
+    dispatched (time_ns, label) sequence and the final RunStats."""
+    sim = Simulator()
+    fired = []
+    handles, fns = [], []
+    for op, k, dt_us in ops:
+        at_ns = sim.now_ns + dt_us * 1000
+        if op == "schedule" or not handles:
+            label = len(handles)
+            fns.append(lambda label=label: fired.append((sim.now_ns, label)))
+            handles.append(sim.schedule_at_ns(at_ns, "K", fns[label], str(label)))
+            continue
+        k %= len(handles)
+        if op == "cancel":
+            sim.cancel(handles[k])
+        elif op == "move" and lazy:
+            handles[k] = sim.reschedule(handles[k], at_ns, "K", fns[k], str(k))
+        elif op == "move":
+            if handles[k].pending:
+                sim.cancel(handles[k])
+            handles[k] = sim.schedule_at_ns(at_ns, "K", fns[k], str(k))
+        else:
+            sim.run_until(at_ns / NS_PER_S)
+    stats = sim.run_until(sim.now + 1.0)
+    return fired, stats
+
+
+@given(st.lists(st.tuples(st.sampled_from(["schedule", "cancel", "move", "run"]),
+                          st.integers(min_value=0, max_value=30),
+                          st.integers(min_value=0, max_value=6)),
+                max_size=80))
+def test_reschedule_dispatches_like_cancel_and_schedule(ops):
+    # microsecond steps of 0..6 put many events on equal timestamps, and a
+    # move lands both later and earlier than the current deadline
+    assert _play(ops, lazy=True) == _play(ops, lazy=False)
+
+
+def test_deferred_event_counts_once_as_pending():
+    sim = Simulator()
+    fired = []
+    fn = lambda: fired.append(sim.now)
+    h = sim.schedule_at(1.0, "K", fn)
+    for t in (2.0, 3.0):
+        assert sim.reschedule(h, to_ns(t), "K", fn) is h
+    stats = sim.run_until(1.5)  # the old entry surfaced and re-entered
+    assert (stats.events_processed, stats.pending) == (0, 1)
+    assert h.pending and fired == []
+    stats = sim.run_until(4.0)
+    assert (stats.events_processed, stats.pending) == (1, 0)
+    assert fired == [3.0] and not h.pending
+
+
+def test_reschedule_earlier_or_spent_schedules_anew():
+    sim = Simulator()
+    fired = []
+    h = sim.schedule_at(2.0, "K", lambda: fired.append("old"))
+    h2 = sim.reschedule(h, to_ns(1.0), "K", lambda: fired.append("new"))
+    assert h2 is not h and not h.pending
+    sim.run_until(3.0)
+    assert fired == ["new"]
+    h3 = sim.reschedule(h2, to_ns(4.0), "K", lambda: fired.append("again"))
+    assert h3 is not h2
+    sim.run_until(5.0)
+    assert fired == ["new", "again"]

@@ -3,6 +3,8 @@ front-end tests. Full-length catalog runs live in the acceptance suite;
 everything here uses short horizons."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lbesim import cli, harness
 from lbesim.harness import (ConfigError, FlowConfig, ScenarioConfig,
@@ -63,6 +65,61 @@ def test_load_scenario_rejects_bad_controller_params():
             "flows.0.params.T_pct=20\n")
     with pytest.raises(ConfigError, match="flows.0.params"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize("text, line, field", [
+    ("flows.0.protocol=ledbat\nflows.0.params.tau_ms=abc\n", 2, "tau_ms"),
+    ("capacity_bps=nan\nflows.0.protocol=reno\n", 1, "capacity_bps"),
+    ("flows.0.protocol=reno\nhorizon_s=inf\n", 2, "horizon_s"),
+    ("flows.0.protocol=ledbat\nflows.0.params.slow_start=maybe\n", 2, "slow_start"),
+    ("flows.0.protocol=lp\nflows.0.params.alpha=-5\n", 2, "alpha"),
+    ("flows.0.protocol=nice\nflows.0.params.floor=0\n", 2, "floor"),
+    ("horizon_s=5\nflows.0.protocol=reno\nflows.0.start_at=5\n", 3, "start_at"),
+    ("flows.0.protocol=ledbat\nflows.0.params.tau_ms=5e-324\n", 2, "target"),
+    ("buffer_pkts=2.5\nflows.0.protocol=reno\n", 1, "buffer_pkts"),
+    ("flows.0.protocol=reno\nflows.0.extra_return_delay_ms=true\n", 2,
+     "extra_return_delay_ms"),
+], ids=["param-not-a-number", "nan-capacity", "infinite-horizon",
+        "non-boolean-slow-start", "negative-lp-alpha", "zero-nice-floor",
+        "start-at-horizon", "underflowing-target", "fractional-buffer",
+        "boolean-delay"])
+def test_load_scenario_rejects_bad_values_with_line(text, line, field):
+    with pytest.raises(ConfigError, match="line %d: .*%s" % (line, field)):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(capacity_bps=float("nan"), flows=[FlowConfig("reno")]),
+    ScenarioConfig(horizon_s=float("inf"), flows=[FlowConfig("reno")]),
+    ScenarioConfig(flows=[FlowConfig("reno", start_at=float("nan"))]),
+    ScenarioConfig(flows=[FlowConfig("ledbat", {"tau_ms": "25"})]),
+], ids=["nan-capacity", "infinite-horizon", "nan-start", "string-param"])
+def test_validate_rejects_non_finite_and_mistyped_values(cfg):
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+_DOC_KEYS = ["capacity_bps", "fwd_prop_delay_ms", "buffer_pkts",
+             "pkt_size_bytes", "horizon_s", "flows.0.protocol",
+             "flows.0.start_at", "flows.0.extra_return_delay_ms",
+             "flows.0.params.tau_ms", "flows.0.params.T_pct", "flows.0.params.G",
+             "flows.0.params.gamma", "flows.0.params.slow_start",
+             "flows.0.params.alpha", "flows.0.params.floor", "flows.1.protocol",
+             "flows.x.protocol", "bogus"]
+_DOC_VALUES = st.one_of(
+    st.sampled_from(["reno", "lp", "nice", "ledbat", "cubic", "true", "maybe",
+                     "nan", "inf", "abc", "", "0", "-5", "1e309", "5e-324"]),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(str),
+    st.floats().map(repr))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_DOC_KEYS), _DOC_VALUES), max_size=8))
+def test_any_document_loads_or_raises_config_error(pairs):
+    try:
+        cfg = load_scenario("\n".join("%s=%s" % kv for kv in pairs))
+    except ConfigError:
+        return
+    assert cfg.flows
 
 
 def test_load_scenario_needs_flows():
@@ -174,6 +231,29 @@ def test_load_sweep_rejects_unresolvable_axis():
                    "flows.0.protocol=reno\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("axis=flows.0.params.tau_ms\nvalues=10,abc\nflows.0.protocol=ledbat\n",
+     "line 2: .*tau_ms"),
+    ("axis=horizon_s\nvalues=1,nan\nflows.0.protocol=reno\n", "line 2: .*horizon_s"),
+    ("axis=horizon_s\nvalues=1\nrepeat=two\nflows.0.protocol=reno\n",
+     "line 3: .*repeat"),
+    ("axis=horizon_s\nvalues=1\nrepeat=0\nflows.0.protocol=reno\n",
+     "line 3: .*repeat"),
+    ("axis=horizon_s\nvalues=1\nflows.0.protocol=cubic\n", "line 3: .*protocol"),
+], ids=["bad-param-value", "nan-horizon", "text-repeat", "zero-repeat",
+        "scenario-line-number"])
+def test_load_sweep_rejects_bad_input_before_any_run(text, match):
+    with pytest.raises(ConfigError, match=match):
+        load_sweep(text)
+
+
+def test_cli_sweep_bad_value_is_a_usage_error(tmp_path, capsys):
+    spec = write(tmp_path, "sweep.cfg", "axis=flows.0.params.tau_ms\n"
+                 "values=10,abc\nflows.0.protocol=ledbat\n")
+    assert cli.main(["sweep", spec]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 # -- catalog expansion ---------------------------------------------------
 
 def test_catalog_pairings_for_trace_study():
@@ -282,8 +362,11 @@ def test_cli_run_event_log(tmp_path):
     log = tmp_path / "events.log"
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o"),
                      "--event-log", str(log)]) == 0
-    lines = log.read_text().splitlines()
-    assert lines and all(len(l.split()) >= 2 for l in lines)
+    events = [l.split() for l in log.read_text().splitlines()]
+    assert events and all(len(e) == 3 for e in events)
+    assert ["0.000000000", "FlowStart", "start-flow0"] in events
+    # the 100 ms metrics sampler is the only MetricsSampleTick
+    assert {e[2] for e in events if e[1] == "MetricsSampleTick"} == {"sample"}
 
 
 def test_cli_missing_config_is_a_usage_error(tmp_path, capsys):

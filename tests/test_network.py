@@ -104,7 +104,7 @@ def test_return_path_is_pure_delay():
     sim = Simulator()
     arrivals = []
     ack = Packet(0, 0, ACK_BYTES, 0.0, is_ack=True, ack_no=1)
-    return_path_send(sim, ack, 0.025, lambda a: arrivals.append(sim.now))
+    return_path_send(sim, ack, 25_000_000, lambda a: arrivals.append(sim.now))
     sim.run_until(1.0)
     assert arrivals == [pytest.approx(0.025)]
 
@@ -117,7 +117,7 @@ def test_return_path_never_contends_with_forward_traffic():
         link.enqueue(pkt(i))
     arrivals = []
     ack = Packet(0, 0, ACK_BYTES, 0.0, is_ack=True, ack_no=1)
-    return_path_send(sim, ack, 0.010, lambda a: arrivals.append(sim.now))
+    return_path_send(sim, ack, 10_000_000, lambda a: arrivals.append(sim.now))
     sim.run_until(1.0)
     assert arrivals == [pytest.approx(0.010)]
 

@@ -152,6 +152,8 @@ def test_rto_estimator_matches_rfc6298():
 
 def test_sub_packet_window_sends_about_cwnd_per_rtt():
     sim, link, f = make_flow(controller=NullController())
+    log = []
+    sim.trace = log.append
     f.cwnd = 0.25
     f.fractional_credit = 1.0  # seed the first packet
     f.start()
@@ -159,6 +161,34 @@ def test_sub_packet_window_sends_about_cwnd_per_rtt():
     # cwnd = 1/4 means roughly one packet every 4 RTTs (RTT about 51 ms)
     assert 6 <= f.packets_sent <= 16
     assert conservation_ok(f)
+    # the credit accrues on its own timer kind
+    assert any(line.endswith(" CreditTick credit-flow0") for line in log)
+
+
+def test_rto_moved_by_acks_fires_once_at_the_last_deadline():
+    sim, link, f = make_flow(controller=NullController())
+    f.cwnd = 4.0
+    f.start()
+    sim.run_until(1.0)
+    link.buffer_pkts = 0  # from now on every new packet is dropped
+    timer = f._rto_timer
+    deadlines = []
+    deliver_ack = f.on_ack_arrival
+
+    def on_ack_arrival(a):
+        deliver_ack(a)
+        assert f._rto_timer is timer  # moved in place, not replaced
+        deadlines.append(timer.at_ns)
+
+    f.on_ack_arrival = on_ack_arrival
+    log = []
+    sim.trace = log.append
+    sim.run_until(1.0 + 1.5 * MIN_RTO)
+    # the acks still in flight each pushed the deadline further out
+    assert len(deadlines) >= 3
+    assert deadlines == sorted(set(deadlines))
+    fired = [line for line in log if " RtoTimer " in line]
+    assert fired == ["%.9f RtoTimer flow0" % (deadlines[-1] / 1e9)]
 
 
 def test_flow_start_time_is_honoured():
