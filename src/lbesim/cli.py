@@ -66,20 +66,11 @@ def cmd_run(args):
     finally:
         if log_fh:
             log_fh.close()
-    header = ",".join(result.report.CSV_COLUMNS) + ",per_flow_throughput_bps...\n"
+    header = result.report.CSV_HEADER + "\n"
     _emit(header + result.report.csv_row() + "\n", args.out, "report.csv")
     if args.traces:
-        outdir = args.out or "."
-        os.makedirs(outdir, exist_ok=True)
-        for fid, series in sorted(result.cwnd_traces.items()):
-            with open(os.path.join(outdir, "flow%d_cwnd.csv" % fid), "w") as fh:
-                fh.write("time_s,cwnd_pkts\n")
-                for t, w in series:
-                    fh.write("%.3f,%.6f\n" % (t, w))
-        with open(os.path.join(outdir, "queue.csv"), "w") as fh:
-            fh.write("time_s,backlog_pkts\n")
-            for t, depth in result.queue_samples:
-                fh.write("%.6f,%d\n" % (t, depth))
+        harness.write_traces(args.out or ".", result.cwnd_traces,
+                             result.queue_samples)
     return 0
 
 

@@ -8,6 +8,7 @@ Config files are flat, line-oriented key=value documents with dotted paths
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field
 
 from . import engine, metrics
@@ -229,19 +230,20 @@ def set_param(cfg, path, value):
 @dataclass
 class RunResult:
     report: metrics.MetricsReport
-    cwnd_traces: dict          # flow_id -> [(time_s, cwnd)]
-    queue_samples: list        # (time_s, backlog)
+    cwnd_traces: dict          # flow_id -> [(time_s, cwnd)]; {} with traces off
+    queue_samples: list        # (time_s, backlog); None with traces off
     run_stats: engine.RunStats
 
 
 def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
                  event_log=None):
     """Build the dumbbell, run to the horizon and compute the metric suite.
-    With traces on, per-flow cwnd series are sampled every 100 ms."""
+    With traces on, cwnd is sampled every 100 ms and the backlog kept."""
     cfg.validate()
     sim = Simulator(trace=event_log)
     link = BottleneckLink(sim, cfg.capacity_bps, cfg.fwd_prop_delay_s,
                           cfg.buffer_pkts)
+    link.queue_samples = [] if traces else None
     flows = []
     for i, fc in enumerate(cfg.flows):
         ctl = cfg.build_controller(fc)
@@ -276,16 +278,17 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
     counters = [metrics.FlowCounters(
         flow_id=f.flow_id,
         protocol=cfg.flows[i].protocol,
-        bytes_delivered=f.bytes_goodput,
+        bytes_delivered=sum(f.window_bytes.values()),
         packets_sent=f.packets_sent,
         packets_dropped=f.packets_dropped,
-        deliveries=f.goodput_events,
+        window_bytes=f.window_bytes,
     ) for i, f in enumerate(flows)]
 
     params = {"protocols": "+".join(fc.protocol for fc in cfg.flows)}
     params.update(extra_params or {})
     report = metrics.build_report(
-        scenario_id, params, counters, link.queue_samples,
+        scenario_id, params, counters, link.backlog_sum,
+        link.total_enqueued + link.total_dropped, link.backlog_peak,
         cfg.buffer_pkts, cfg.horizon_s, cfg.capacity_bps)
     return RunResult(report=report, cwnd_traces=cwnd_traces,
                      queue_samples=link.queue_samples, run_stats=stats)
@@ -318,12 +321,17 @@ class SweepPoint:
 
 
 def run_sweep(spec, scenario_prefix="sweep", event_log=None):
-    """Run every point of a sweep, in order, as fully independent runs."""
+    """Validate every point of a sweep, then run each, in order, on its own."""
     if spec.labels is not None and len(spec.labels) != len(spec.values):
         raise ConfigError("labels/values length mismatch")
+    labels = spec.labels or [_axis_label(spec.axis, v) for v in spec.values]
+    for value, label in zip(spec.values, labels):
+        try:
+            spec.point_config(value).validate()
+        except ConfigError as exc:
+            raise ConfigError("sweep point %s: %s" % (label, exc), key=exc.key) from exc
     points = []
-    for i, value in enumerate(spec.values):
-        label = spec.labels[i] if spec.labels else _axis_label(spec.axis, value)
+    for value, label in zip(spec.values, labels):
         for rep in range(spec.repeat):
             sid = "%s:%s" % (scenario_prefix, label)
             if spec.repeat > 1:
@@ -349,7 +357,7 @@ def _axis_label(axis, value):
 
 def sweep_csv(points):
     """One MetricsReport row per sweep point, byte-stable across reruns."""
-    lines = [",".join(metrics.MetricsReport.CSV_COLUMNS) + ",per_flow_throughput_bps..."]
+    lines = [metrics.MetricsReport.CSV_HEADER]
     for pt in points:
         lines.append(pt.result.report.csv_row())
     return "\n".join(lines) + "\n"
@@ -476,14 +484,28 @@ def expand_experiment(experiment_id, protocol=None):
                       % (experiment_id, ", ".join(EXPERIMENT_IDS)))
 
 
-# -- plot data emission --------------------------------------------------
+# -- plot data and trace emission ----------------------------------------
+
+def write_traces(outdir, cwnd_traces, queue_samples=None, prefix=""):
+    """Write `<prefix>flow<i>_cwnd.csv` for each flow and, given a queue
+    series, `<prefix>queue.csv` into outdir; return their paths."""
+    files = [("flow%d_cwnd.csv" % fid, "time_s,cwnd_pkts\n", "%.3f,%.6f\n", series)
+             for fid, series in sorted(cwnd_traces.items())]
+    if queue_samples is not None:
+        files.append(("queue.csv", "time_s,backlog_pkts\n", "%.6f,%d\n", queue_samples))
+    paths = []
+    for name, header, row, series in files:
+        paths.append(os.path.join(outdir, prefix + name))
+        with open(paths[-1], "w") as fh:
+            fh.write(header)
+            fh.writelines(row % r for r in series)
+    return paths
+
 
 def emit_plot_data(points, figure_id, outdir):
     """Write a per-figure CSV (x axis = swept value, one column per metric)
     plus a companion gnuplot script; for trace experiments, also the
     per-flow (time, cwnd) series."""
-    import os
-
     if not points:
         raise ConfigError("no reports to emit")
     os.makedirs(outdir, exist_ok=True)
@@ -492,29 +514,18 @@ def emit_plot_data(points, figure_id, outdir):
     max_flows = max(len(pt.result.report.per_flow) for pt in points)
     csv_path = os.path.join(outdir, "%s.csv" % figure_id)
     with open(csv_path, "w") as fh:
-        cols = ["axis", "eta", "tcp_pct", "f_lt", "f_st", "b_norm", "p_l"]
+        cols = ["axis"] + list(metrics.MetricsReport.CSV_COLUMNS[2:])
         cols += ["x%d_bps" % i for i in range(max_flows)]
         fh.write(",".join(cols) + "\n")
         for pt in points:
             r = pt.result.report
-            cells = [pt.label, metrics._fmt(r.eta), metrics._fmt(r.tcp_pct),
-                     metrics._fmt(r.f_lt), metrics._fmt(r.f_st),
-                     metrics._fmt(r.b_norm), metrics._fmt(r.p_l)]
-            rates = [x for _, _, x in r.per_flow]
-            cells += [metrics._fmt(x) for x in rates]
-            cells += [""] * (max_flows - len(rates))
+            cells = [pt.label] + r.metric_cells() + [""] * (max_flows - len(r.per_flow))
             fh.write(",".join(cells) + "\n")
     written.append(csv_path)
 
     for pt in points:
-        for fid, series in sorted(pt.result.cwnd_traces.items()):
-            tpath = os.path.join(outdir, "%s_%s_flow%d_cwnd.csv"
-                                 % (figure_id, pt.label, fid))
-            with open(tpath, "w") as fh:
-                fh.write("time_s,cwnd_pkts\n")
-                for t, w in series:
-                    fh.write("%.3f,%.6f\n" % (t, w))
-            written.append(tpath)
+        written += write_traces(outdir, pt.result.cwnd_traces,
+                                prefix="%s_%s_" % (figure_id, pt.label))
 
     plt_path = os.path.join(outdir, "%s.plt" % figure_id)
     with open(plt_path, "w") as fh:
@@ -524,8 +535,7 @@ def emit_plot_data(points, figure_id, outdir):
         series = ", ".join(
             '"%s.csv" using 0:%d:xtic(1) with linespoints title "%s"'
             % (figure_id, i + 2, name)
-            for i, name in enumerate(("eta", "tcp_pct", "f_lt", "f_st",
-                                      "b_norm", "p_l")))
+            for i, name in enumerate(metrics.MetricsReport.CSV_COLUMNS[2:]))
         fh.write("plot %s\n" % series)
     written.append(plt_path)
     return written

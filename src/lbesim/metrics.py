@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+WINDOW_S = 1.0  # fairness window: bytes arriving at t count in int(t / WINDOW_S)
+
 
 @dataclass
 class FlowCounters:
@@ -19,7 +21,7 @@ class FlowCounters:
     bytes_delivered: int          # new in-order bytes at the receiver
     packets_sent: int             # into the bottleneck, retransmits included
     packets_dropped: int
-    deliveries: list = field(default_factory=list)  # (time_s, bytes)
+    window_bytes: dict = field(default_factory=dict)  # window index -> bytes
 
 
 @dataclass
@@ -30,25 +32,25 @@ class MetricsReport:
     tcp_pct: float | None         # None when no Reno flow is present
     f_lt: float | None
     f_st: float | None
-    f_st_min: float | None
     b_norm: float
     p_l: float
     per_flow: list                # (flow_id, protocol, throughput_bps)
-    per_window_jain: list         # (window_start_s, jain) over active windows
 
     CSV_COLUMNS = ("scenario_id", "params", "eta", "tcp_pct", "f_lt", "f_st",
                    "b_norm", "p_l")  # then one throughput column per flow
+    CSV_HEADER = ",".join(CSV_COLUMNS) + ",per_flow_throughput_bps..."
 
     def csv_row(self):
         """Stable, documented column order: scenario_id, params, eta,
         tcp_pct, f_lt, f_st, b_norm, p_l, then per-flow throughputs."""
         params = ";".join("%s=%s" % (k, _fmt(v))
                           for k, v in sorted(self.params.items()))
-        cells = [self.scenario_id, params,
-                 _fmt(self.eta), _fmt(self.tcp_pct), _fmt(self.f_lt),
-                 _fmt(self.f_st), _fmt(self.b_norm), _fmt(self.p_l)]
-        cells.extend(_fmt(x) for _, _, x in self.per_flow)
-        return ",".join(cells)
+        return ",".join([self.scenario_id, params] + self.metric_cells())
+
+    def metric_cells(self):
+        """The metric columns of CSV_COLUMNS, then per-flow throughputs."""
+        return ([_fmt(getattr(self, c)) for c in self.CSV_COLUMNS[2:]]
+                + [_fmt(x) for _, _, x in self.per_flow])
 
 
 def _fmt(v):
@@ -101,36 +103,36 @@ def jain_index(rates):
     return float(np.sum(x)) ** 2 / (x.size * s2)
 
 
-def short_term_fairness(deliveries_per_flow, horizon_s, window_s=1.0):
-    """Per-window Jain index over windowed throughputs, aggregated over the
-    windows that carry traffic. Returns (mean, min, series)."""
-    n_bins = int(np.ceil(horizon_s / window_s))
+def short_term_fairness(window_bytes_per_flow, horizon_s):
+    """Per-window Jain index over each flow's bytes per window (bytes past
+    the horizon count in the last one), aggregated over the windows that
+    carry traffic. Returns (mean, min, series)."""
+    n_bins = int(np.ceil(horizon_s / WINDOW_S))
     if n_bins < 1:
         raise ValueError("window does not fit in the horizon")
-    mat = np.zeros((len(deliveries_per_flow), n_bins))
-    for i, events in enumerate(deliveries_per_flow):
-        for t, nbytes in events:
-            b = min(int(t / window_s), n_bins - 1)
-            mat[i, b] += nbytes
+    mat = np.zeros((len(window_bytes_per_flow), n_bins))
+    for i, bins in enumerate(window_bytes_per_flow):
+        for b, nbytes in bins.items():
+            mat[i, min(b, n_bins - 1)] += nbytes
     series = []
     for b in range(n_bins):
         col = mat[:, b]
         if col.sum() > 0:
-            series.append((b * window_s, jain_index(col)))
+            series.append((b * WINDOW_S, jain_index(col)))
     if not series:
         return None, None, []
     vals = [j for _, j in series]
     return float(np.mean(vals)), float(np.min(vals)), series
 
 
-def queue_occupancy(samples, buffer_pkts):
-    """Mean enqueue-time backlog normalized by the buffer size."""
-    if not samples:
+def queue_occupancy(backlog_sum, n_samples, peak, buffer_pkts):
+    """Mean enqueue-time backlog normalized by the buffer size, from the sum
+    and the peak of `n_samples` integer backlog samples."""
+    if n_samples < 1:
         raise ValueError("no queue samples")
-    depths = np.asarray([d for _, d in samples], dtype=float)
-    if depths.min() < 0 or depths.max() > buffer_pkts:
+    if not (0 <= peak <= buffer_pkts and 0 <= backlog_sum <= peak * n_samples):
         raise ValueError("queue sample out of [0, B_max]")
-    return float(depths.mean()) / buffer_pkts
+    return backlog_sum / n_samples / buffer_pkts
 
 
 def loss_rate(flows):
@@ -142,11 +144,10 @@ def loss_rate(flows):
     return sum(c.packets_dropped for c in flows) / sent
 
 
-def build_report(scenario_id, params, flows, queue_samples, buffer_pkts,
-                 horizon_s, capacity_bps, window_s=1.0):
+def build_report(scenario_id, params, flows, backlog_sum, n_samples,
+                 backlog_peak, buffer_pkts, horizon_s, capacity_bps):
     """Assemble the full metric suite for one finished run."""
-    f_st, f_st_min, series = short_term_fairness(
-        [c.deliveries for c in flows], horizon_s, window_s)
+    f_st = short_term_fairness([c.window_bytes for c in flows], horizon_s)[0]
     rates = [flow_throughput(c, horizon_s) for c in flows]
     return MetricsReport(
         scenario_id=scenario_id,
@@ -155,9 +156,8 @@ def build_report(scenario_id, params, flows, queue_samples, buffer_pkts,
         tcp_pct=tcp_breakdown(flows, horizon_s),
         f_lt=jain_index(rates),
         f_st=f_st,
-        f_st_min=f_st_min,
-        b_norm=queue_occupancy(queue_samples, buffer_pkts),
+        b_norm=queue_occupancy(backlog_sum, n_samples, backlog_peak,
+                               buffer_pkts),
         p_l=loss_rate(flows),
         per_flow=[(c.flow_id, c.protocol, r) for c, r in zip(flows, rates)],
-        per_window_jain=series,
     )

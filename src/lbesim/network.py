@@ -40,9 +40,9 @@ class Packet:
 class BottleneckLink:
     """Fixed-rate link with a finite drop-tail FIFO in front of it.
 
-    A queue-occupancy sample (backlog before the insertion decision) is
-    recorded at every enqueue attempt, drops included, so the normalized
-    occupancy metric approaches 1 under saturation.
+    The backlog before the insertion decision is sampled at every enqueue
+    attempt, drops included, so that occupancy approaches 1 under
+    saturation. Sum and peak are kept; the series if `queue_samples` is a list.
 
     Every packet crosses the same propagation delay, so packets reach the
     far end in the order they finished serializing: the arrival handler
@@ -58,7 +58,9 @@ class BottleneckLink:
         self.queue = deque()
         self.busy = False
         self.on_deliver = None  # set by the scenario wiring: fn(packet)
-        self.queue_samples = []  # (time_s, backlog) at each enqueue attempt
+        self.queue_samples = None  # list of (time_s, backlog) with traces on
+        self.backlog_sum = 0
+        self.backlog_peak = 0
         self.total_enqueued = 0
         self.total_dropped = 0
         self._prop_ns = engine.to_ns(self.prop_delay_s)
@@ -74,8 +76,13 @@ class BottleneckLink:
         """Offer a data packet to the buffer. Returns True if accepted,
         False if it was tail-dropped (discarded silently)."""
         queue = self.queue
-        self.queue_samples.append((self.sim.now, len(queue)))
-        if len(queue) >= self.buffer_pkts:
+        depth = len(queue)
+        self.backlog_sum += depth
+        if depth > self.backlog_peak:
+            self.backlog_peak = depth
+        if self.queue_samples is not None:
+            self.queue_samples.append((self.sim.now, depth))
+        if depth >= self.buffer_pkts:
             self.total_dropped += 1
             return False
         self.total_enqueued += 1
@@ -118,14 +125,6 @@ class BottleneckLink:
 
     def _arrive(self):
         self.on_deliver(self._propagating.popleft())
-
-    def queued_for(self, flow_id):
-        return sum(1 for p in self.queue if p.flow_id == flow_id)
-
-    def write_queue_csv(self, fh):
-        fh.write("time_s,backlog_pkts\n")
-        for t, depth in self.queue_samples:
-            fh.write("%.6f,%d\n" % (t, depth))
 
 
 def return_path_send(sim, ack, delay_ns, deliver, label=""):

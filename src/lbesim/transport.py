@@ -9,9 +9,11 @@ receiver window is infinite.
 """
 
 import math
+from collections import defaultdict
 
 from . import engine
 from .controllers import AckSample
+from .metrics import WINDOW_S
 from .network import ACK_BYTES, Packet, return_path_send
 
 MIN_RTO = 0.2
@@ -62,8 +64,7 @@ class FlowEndpoint:
         self.packets_sent = 0      # into the link, retransmissions included
         self.packets_dropped = 0   # tail-dropped at the bottleneck buffer
         self.delivered_pkts = 0    # arrivals at the receiver, dupes included
-        self.bytes_goodput = 0     # new in-order bytes accepted
-        self.goodput_events = []   # (time_s, bytes) for windowed metrics
+        self.window_bytes = defaultdict(int)  # WINDOW_S window -> new in-order bytes
         self.in_network = 0        # accepted but not yet delivered
 
     @property
@@ -153,9 +154,7 @@ class FlowEndpoint:
             self.rx_ooo.add(p.seq)
         now = self.sim.now
         if advanced:
-            nbytes = advanced * self.pkt_size
-            self.bytes_goodput += nbytes
-            self.goodput_events.append((now, nbytes))
+            self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
         ack = Packet(self.flow_id, p.seq, ACK_BYTES, now, True, self.rx_next,
                      now - p.sent_at, p.sent_at)
         return_path_send(self.sim, ack, self._return_ns, self.on_ack_arrival,

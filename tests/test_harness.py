@@ -172,9 +172,10 @@ def test_run_scenario_produces_full_report():
     assert 0.0 <= r.b_norm <= 1.0
     assert 0.0 <= r.p_l <= 1.0
     assert len(r.per_flow) == 2
-    assert result.queue_samples
     assert result.run_stats.events_processed > 0
-    assert result.cwnd_traces == {}  # traces off by default
+    # traces are off by default, and no per-packet series is kept
+    assert result.cwnd_traces == {}
+    assert result.queue_samples is None
 
 
 def test_run_scenario_traces_sample_every_100ms():
@@ -201,6 +202,18 @@ def test_run_sweep_label_mismatch_raises():
     spec = SweepSpec(base, "horizon_s", [1.0, 2.0], labels=["only-one"])
     with pytest.raises(ConfigError):
         run_sweep(spec)
+
+
+def test_run_sweep_rejects_a_bad_point_before_any_run(monkeypatch):
+    base = ScenarioConfig(horizon_s=1.0,
+                          flows=[FlowConfig("ledbat", {"tau_ms": 25.0})])
+    spec = SweepSpec(base, "flows.0.params.tau_ms", [25.0, -1.0])
+    runs = []
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="sweep point -1: .*tau_ms"):
+        run_sweep(spec)
+    assert runs == []
 
 
 def test_run_sweep_repeat_marks_reps():

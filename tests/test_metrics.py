@@ -2,6 +2,7 @@
 efficiency bounds, TCP breakdown, windowed fairness, queue occupancy and
 loss rate."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +13,10 @@ from lbesim.metrics import (FlowCounters, MetricsReport, build_report,
                             tcp_breakdown)
 
 
-def fc(proto="reno", mbytes=10.0, sent=1000, dropped=0, fid=0, deliveries=()):
+def fc(proto="reno", mbytes=10.0, sent=1000, dropped=0, fid=0, window_bytes=None):
     return FlowCounters(flow_id=fid, protocol=proto,
                         bytes_delivered=int(mbytes * 1e6), packets_sent=sent,
-                        packets_dropped=dropped, deliveries=list(deliveries))
+                        packets_dropped=dropped, window_bytes=dict(window_bytes or {}))
 
 
 # -- Jain index ----------------------------------------------------------
@@ -99,8 +100,8 @@ def test_tcp_breakdown_none_when_nothing_delivered():
 
 def test_short_term_fairness_over_alternating_windows():
     # each one-second window carries exactly one of the two flows
-    d0 = [(0.5, 1000)]
-    d1 = [(1.5, 1000)]
+    d0 = {0: 1000}
+    d1 = {1: 1000}
     mean, mn, series = short_term_fairness([d0, d1], horizon_s=2.0)
     assert [t for t, _ in series] == [0.0, 1.0]
     assert mean == pytest.approx(0.5)
@@ -108,41 +109,60 @@ def test_short_term_fairness_over_alternating_windows():
 
 
 def test_short_term_fairness_equal_traffic_is_one():
-    d = [(0.1, 500), (1.1, 500)]
-    mean, mn, series = short_term_fairness([d, list(d)], horizon_s=2.0)
+    d = {0: 500, 1: 500}
+    mean, mn, series = short_term_fairness([d, dict(d)], horizon_s=2.0)
     assert mean == pytest.approx(1.0) and mn == pytest.approx(1.0)
 
 
 def test_short_term_fairness_quiet_windows_are_skipped():
-    d0 = [(0.5, 1000)]
-    mean, mn, series = short_term_fairness([d0, []], horizon_s=5.0)
+    d0 = {0: 1000}
+    mean, mn, series = short_term_fairness([d0, {}], horizon_s=5.0)
     assert len(series) == 1  # four of the five windows carried nothing
 
 
+def test_short_term_fairness_counts_bytes_at_the_horizon_in_the_last_window():
+    # a delivery at t == horizon lands in bin 2 of a 2-window horizon
+    mean, mn, series = short_term_fairness([{2: 1000}, {1: 1000}], horizon_s=2.0)
+    assert [t for t, _ in series] == [1.0]
+    assert mean == pytest.approx(1.0)
+
+
 def test_short_term_fairness_no_traffic():
-    mean, mn, series = short_term_fairness([[], []], horizon_s=2.0)
+    mean, mn, series = short_term_fairness([{}, {}], horizon_s=2.0)
     assert mean is None and mn is None and series == []
 
 
 def test_short_term_fairness_bad_window():
     with pytest.raises(ValueError):
-        short_term_fairness([[]], horizon_s=0.0)
+        short_term_fairness([{}], horizon_s=0.0)
 
 
 # -- queue occupancy and loss rate ---------------------------------------
 
 def test_queue_occupancy_mean_over_buffer():
-    samples = [(0.0, 0), (1.0, 50), (2.0, 100)]
-    assert queue_occupancy(samples, 100) == pytest.approx(0.5)
+    # samples 0, 50 and 100
+    assert queue_occupancy(150, 3, 100, 100) == pytest.approx(0.5)
 
 
 def test_queue_occupancy_rejects_out_of_range():
     with pytest.raises(ValueError):
-        queue_occupancy([(0.0, 101)], 100)
+        queue_occupancy(101, 1, 101, 100)   # peak above the buffer
     with pytest.raises(ValueError):
-        queue_occupancy([(0.0, -1)], 100)
+        queue_occupancy(-1, 1, -1, 100)     # negative backlog
     with pytest.raises(ValueError):
-        queue_occupancy([], 100)
+        queue_occupancy(300, 2, 100, 100)   # sum above peak * count
+    with pytest.raises(ValueError):
+        queue_occupancy(0, 0, 0, 100)       # no samples
+
+
+@given(st.integers(min_value=1, max_value=10**6).flatmap(
+    lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b), min_size=1,
+                                             max_size=500))))
+def test_queue_occupancy_equals_float_mean_of_the_series(case):
+    buffer_pkts, depths = case
+    expected = float(np.mean(np.asarray(depths, dtype=float))) / buffer_pkts
+    got = queue_occupancy(sum(depths), len(depths), max(depths), buffer_pkts)
+    assert got == expected  # bit for bit, not approximately
 
 
 def test_loss_rate_across_flows():
@@ -156,11 +176,11 @@ def test_loss_rate_across_flows():
 
 def test_build_report_and_csv_row():
     flows = [fc("reno", mbytes=90.0, sent=900, dropped=9,
-                deliveries=[(0.5, int(90e6))]),
+                window_bytes={0: int(90e6)}),
              fc("ledbat", mbytes=30.0, sent=300, dropped=0, fid=1,
-                deliveries=[(0.5, int(30e6))])]
+                window_bytes={0: int(30e6)})]
     report = build_report("sid", {"b": 2, "a": 1}, flows,
-                          [(0.0, 20)], 100, 120.0, 10e6)
+                          20, 1, 20, 100, 120.0, 10e6)
     assert report.eta == pytest.approx(0.8)
     assert report.tcp_pct == pytest.approx(0.75)
     assert report.f_lt == pytest.approx(jain_index([6e6, 2e6]))
@@ -174,15 +194,15 @@ def test_build_report_and_csv_row():
 
 
 def test_csv_row_renders_none_as_empty_cell():
-    flows = [fc("ledbat", mbytes=30.0, deliveries=[(0.5, int(30e6))])]
-    report = build_report("sid", {}, flows, [(0.0, 0)], 100, 120.0, 10e6)
+    flows = [fc("ledbat", mbytes=30.0, window_bytes={0: int(30e6)})]
+    report = build_report("sid", {}, flows, 0, 1, 0, 100, 120.0, 10e6)
     assert report.tcp_pct is None
     cells = report.csv_row().split(",")
     assert cells[3] == ""  # tcp_pct column
 
 
 def test_csv_floats_use_stable_formatting():
-    flows = [fc("reno", mbytes=15.0, deliveries=[(0.5, int(15e6))])]
-    report = build_report("sid", {}, flows, [(0.0, 0)], 100, 120.0, 10e6)
+    flows = [fc("reno", mbytes=15.0, window_bytes={0: int(15e6)})]
+    report = build_report("sid", {}, flows, 0, 1, 0, 100, 120.0, 10e6)
     cells = report.csv_row().split(",")
     assert cells[2] == "%.10g" % report.eta

@@ -8,6 +8,7 @@ first packet arrives at 26.2 ms."""
 import pytest
 
 from lbesim.engine import Simulator
+from lbesim.harness import write_traces
 from lbesim.network import ACK_BYTES, BottleneckLink, Packet, return_path_send
 
 
@@ -52,17 +53,26 @@ def test_back_to_back_packets_are_spaced_by_serialization():
 
 
 def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
-    sim = Simulator()
-    link = make_link(sim, buffer_pkts=5)
-    link.on_deliver = lambda p: None
-    accepted = [link.enqueue(pkt(i)) for i in range(7)]
-    # packet 0 moves straight to the transmitter and frees its slot, the
-    # next five fill the buffer, the seventh is tail-dropped
-    assert accepted == [True] * 6 + [False]
-    assert link.total_enqueued == 6
-    assert link.total_dropped == 1
-    # occupancy is sampled before each insertion decision, drops included
-    assert [d for _, d in link.queue_samples] == [0, 0, 1, 2, 3, 4, 5]
+    for traces in (False, True):
+        sim = Simulator()
+        link = make_link(sim, buffer_pkts=5)
+        link.on_deliver = lambda p: None
+        if traces:
+            link.queue_samples = []
+        accepted = [link.enqueue(pkt(i)) for i in range(7)]
+        # packet 0 moves straight to the transmitter and frees its slot, the
+        # next five fill the buffer, the seventh is tail-dropped
+        assert accepted == [True] * 6 + [False]
+        assert link.total_enqueued == 6
+        assert link.total_dropped == 1
+        # occupancy is sampled before each insertion decision, drops
+        # included: 0, 0, 1, 2, 3, 4, 5
+        assert link.backlog_sum == 15
+        assert link.backlog_peak == 5
+        if traces:
+            assert [d for _, d in link.queue_samples] == [0, 0, 1, 2, 3, 4, 5]
+        else:
+            assert link.queue_samples is None
 
 
 def test_dropped_packet_is_never_delivered():
@@ -86,18 +96,6 @@ def test_queue_drains_and_link_goes_idle():
     sim.run_until(1.0)
     assert not link.queue
     assert not link.busy
-
-
-def test_queued_for_counts_per_flow():
-    sim = Simulator()
-    link = make_link(sim)
-    link.on_deliver = lambda p: None
-    link.enqueue(pkt(0, flow=0))  # goes to the transmitter
-    link.enqueue(pkt(1, flow=0))
-    link.enqueue(pkt(2, flow=1))
-    link.enqueue(pkt(3, flow=1))
-    assert link.queued_for(0) == 1
-    assert link.queued_for(1) == 2
 
 
 def test_return_path_is_pure_delay():
@@ -126,11 +124,11 @@ def test_write_queue_csv_format(tmp_path):
     sim = Simulator()
     link = make_link(sim)
     link.on_deliver = lambda p: None
+    link.queue_samples = []
     link.enqueue(pkt(0))
     link.enqueue(pkt(1))
     path = tmp_path / "queue.csv"
-    with open(path, "w") as fh:
-        link.write_queue_csv(fh)
+    assert write_traces(str(tmp_path), {}, link.queue_samples) == [str(path)]
     lines = path.read_text().splitlines()
     assert lines[0] == "time_s,backlog_pkts"
     # packet 0 went straight to the transmitter, so both samples saw an

@@ -42,7 +42,7 @@ def test_single_flow_fills_the_link():
     sim.run_until(5.0)
     assert f.delivered_pkts > 1000
     # goodput counts exactly the new in-order bytes the receiver accepted
-    assert f.bytes_goodput == f.rx_next * f.pkt_size
+    assert sum(f.window_bytes.values()) == f.rx_next * f.pkt_size
     assert conservation_ok(f)
 
 
@@ -51,10 +51,10 @@ def test_loss_recovery_with_small_buffer():
     f.start()
     sim.run_until(10.0)
     assert f.packets_dropped > 0          # slow start overruns the buffer
-    assert f.bytes_goodput == f.rx_next * f.pkt_size
+    assert sum(f.window_bytes.values()) == f.rx_next * f.pkt_size
     assert conservation_ok(f)
     # recovery keeps most of the pipe despite the slow-start overshoot
-    assert f.bytes_goodput * 8.0 / 10.0 > 0.6 * 10e6
+    assert sum(f.window_bytes.values()) * 8.0 / 10.0 > 0.6 * 10e6
 
 
 def test_timeout_triggers_go_back_n():
@@ -126,12 +126,12 @@ def test_receiver_reorders_out_of_order_arrivals():
     sim, link, f = make_flow()
     f.in_network = 3
     f.on_data_arrival(Packet(0, 1, 1500, 0.0))
-    assert f.rx_next == 0 and f.bytes_goodput == 0
+    assert f.rx_next == 0 and not f.window_bytes
     f.on_data_arrival(Packet(0, 2, 1500, 0.0))
     f.on_data_arrival(Packet(0, 0, 1500, 0.0))
     # the hole fills and the cumulative ack jumps over the buffered packets
     assert f.rx_next == 3
-    assert f.bytes_goodput == 3 * 1500
+    assert sum(f.window_bytes.values()) == 3 * 1500
     assert not f.rx_ooo
 
 
