@@ -1,11 +1,11 @@
 """Congestion controllers: the Reno baseline plus the three lower-than
 best-effort schemes (TCP-LP, TCP-NICE, LEDBAT).
 
-All controllers implement the same contract: the endpoint calls on_ack()
-for every new cumulative ack (carrying the one-way-delay and RTT samples of
-the acked data packet) and on_loss() when a loss is detected. Controllers
-mutate flow.cwnd (and flow.ssthresh where relevant); the endpoint owns
-retransmission, timers and window clocking.
+All controllers implement the same contract: the endpoint calls
+on_ack(flow, rtt, owd) for every new cumulative ack, with the RTT and
+one-way-delay samples of the acked data packet, and on_loss() when a loss
+is detected. Controllers mutate flow.cwnd (and flow.ssthresh where
+relevant); the endpoint owns retransmission, timers and window clocking.
 """
 
 import math
@@ -49,14 +49,6 @@ class SlidingExtrema:
         return max(b[2] for b in self._buckets)
 
 
-class AckSample:
-    __slots__ = ("rtt", "owd")
-
-    def __init__(self, rtt, owd):
-        self.rtt = rtt
-        self.owd = owd
-
-
 class Controller:
     protocol = "base"
     # Reno-style fast-recovery window inflation; delay-based schemes keep
@@ -64,7 +56,7 @@ class Controller:
     inflate_on_dupack = False
     floor = 1.0
 
-    def on_ack(self, flow, sample):
+    def on_ack(self, flow, rtt, owd):
         raise NotImplementedError
 
     def on_loss(self, flow, kind):
@@ -77,7 +69,7 @@ class RenoController(Controller):
     protocol = "reno"
     inflate_on_dupack = True
 
-    def on_ack(self, flow, sample):
+    def on_ack(self, flow, rtt, owd):
         if flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
         else:
@@ -134,9 +126,9 @@ class LpController(Controller):
         self.armed = True
         self._inference_handle = None
 
-    def on_ack(self, flow, sample):
+    def on_ack(self, flow, rtt, owd):
         self.d_ewma, self.d_min, self.d_max = lp_update_delay(
-            self.d_ewma, self.d_min, self.d_max, sample.owd, self.alpha)
+            self.d_ewma, self.d_min, self.d_max, owd, self.alpha)
         level = lp_early_congestion(self.d_ewma, self.d_min, self.d_max, self.delta)
         indication = level and self.armed
         self.armed = not level
@@ -145,7 +137,7 @@ class LpController(Controller):
                 self._collapse(flow)
             return  # window frozen while inferring
         if indication:
-            self._react(flow, sample.rtt)
+            self._react(flow, rtt)
         elif flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
         else:
@@ -234,8 +226,7 @@ class NiceController(Controller):
     def mark_threshold(self):
         return self.rtt_min + (self.rtt_max - self.rtt_min) * self.delta
 
-    def on_ack(self, flow, sample):
-        rtt = sample.rtt
+    def on_ack(self, flow, rtt, owd):
         self._window.add(flow.sim.now, rtt)
         self.base_rtt = min(self.base_rtt, rtt)
         self.rtt_min = self._window.min
@@ -298,17 +289,18 @@ class LedbatController(Controller):
         self.d_min = INF
         self.in_slow_start = slow_start
 
-    def on_ack(self, flow, sample):
-        d = sample.owd
-        self.d_min = min(self.d_min, d)
-        off = ledbat_offset(self.tau, d, self.d_min)
+    def on_ack(self, flow, rtt, owd):
+        self.d_min = min(self.d_min, owd)
+        off = ledbat_offset(self.tau, owd, self.d_min)
         if self.in_slow_start and off > 0 and flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
             return
         self.in_slow_start = False
-        # TCP-friendliness cap: never ramp up faster than one packet per
-        # RTT, whatever the gain; decreases are not capped. This keeps the
-        # start-up split between concurrent flows independent of gain.
+        # Growth cap: never ramp up faster than one packet per RTT;
+        # decreases are not capped. As off <= tau, gamma*off <= G, so the
+        # cap binds only at G > 1. There it keeps flows of unequal gains
+        # fair: without it fig3_gain_ratio's f_lt falls to 0.862 at gain
+        # ratio 2 and 0.943 at 5, below ACCEPTANCE 05's 0.95.
         step = min(self.gamma * off, 1.0)
         flow.cwnd = max(flow.cwnd + step / flow.cwnd, 1.0)
 

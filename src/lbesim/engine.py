@@ -6,8 +6,8 @@ There is no randomness and no wall-clock access anywhere in the loop:
 identical schedules produce identical event sequences.
 """
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 NS_PER_S = 1_000_000_000
 
@@ -33,24 +33,12 @@ class SimulationFault(RuntimeError):
     """A handler raised; the offending event is identified in the message."""
 
 
-class _Event:
-    """A scheduled callback, and the handle its scheduler keeps to cancel or
-    move it. `at_ns` and `seq` are the key it dispatches at; a heap entry
-    whose key no longer matches is stale. A fired or cancelled event has
-    seq -1."""
-
-    __slots__ = ("at_ns", "seq", "kind", "fn", "label")
-
-    def __init__(self, at_ns, seq, kind, fn, label):
-        self.at_ns = at_ns
-        self.seq = seq
-        self.kind = kind
-        self.fn = fn
-        self.label = label
-
-    @property
-    def pending(self):
-        return self.seq >= 0
+# A handle is the list [at_ns, seq, kind, fn, label]: the key the event
+# dispatches at, then what it calls. A heap entry whose key no longer
+# matches its handle's is stale. seq is SPENT once the event fired or was
+# cancelled, and RELAYED while a relay waits at its first key.
+SPENT = -1
+RELAYED = -2
 
 
 @dataclass
@@ -91,8 +79,27 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        ev = _Event(at_ns, seq, kind, fn, label)
-        heapq.heappush(self._heap, (at_ns, seq, ev))
+        ev = [at_ns, seq, kind, fn, label]
+        heappush(self._heap, (at_ns, seq, ev))
+        return ev
+
+    def relay_at_ns(self, via_ns, at_ns, kind, fn, label=""):
+        """Dispatch fn() at at_ns as if a handler at via_ns scheduled it, and
+        return its handle. Needs via_ns <= at_ns.
+
+        The entry is scheduled at via_ns now, so it takes the heap slot and
+        the sequence number that handler's event would take. When it
+        surfaces at via_ns it re-enters the heap under at_ns and the
+        sequence number a schedule made at that moment gets, which is the
+        key the handler would have given fn. Nothing is dispatched at
+        via_ns and the step is not counted as processed; the event counts
+        once as pending throughout."""
+        if at_ns < via_ns:
+            raise ScheduleInPastError(
+                "cannot relay %s to t=%dns before t=%dns" % (kind, at_ns, via_ns))
+        ev = self.schedule_at_ns(via_ns, kind, fn, label)
+        ev[0] = at_ns
+        ev[1] = RELAYED
         return ev
 
     def reschedule(self, ev, at_ns, kind, fn, label=""):
@@ -104,12 +111,12 @@ class Simulator:
         new deadline and the sequence number a fresh schedule would get
         now, and its old heap entry, which surfaces first, re-enters the
         heap under that key. Ties at equal times therefore break exactly as
-        with a fresh schedule. A move to an earlier time cancels and
-        schedules anew."""
-        if ev is not None and ev.seq >= 0:
-            if at_ns >= ev.at_ns:
-                ev.at_ns = at_ns
-                ev.seq = self._seq
+        with a fresh schedule. A move to an earlier time, or of a relay,
+        cancels and schedules anew."""
+        if ev is not None and ev[1] != SPENT:
+            if ev[1] >= 0 and at_ns >= ev[0]:
+                ev[0] = at_ns
+                ev[1] = self._seq
                 self._seq += 1
                 return ev
             self.cancel(ev)
@@ -118,11 +125,16 @@ class Simulator:
     def cancel(self, ev):
         """Make a pending event inert. Returns False if it already fired or
         was already cancelled."""
-        if ev.seq < 0:
+        if ev[1] == SPENT:
             return False
-        ev.seq = -1
+        ev[1] = SPENT
         self._live -= 1
         return True
+
+    @staticmethod
+    def pending(ev):
+        """True until the event fires or is cancelled."""
+        return ev[1] != SPENT
 
     def run_until(self, t_end_s):
         """Process every event with fire time <= t_end, in (time, insertion)
@@ -131,26 +143,30 @@ class Simulator:
         if t_end_ns < self.now_ns:
             raise ScheduleInPastError("run_until target is in the past")
         heap = self._heap
-        heappop, heappush = heapq.heappop, heapq.heappush
         trace = self.trace
         while heap and heap[0][0] <= t_end_ns:
             at_ns, seq, ev = heappop(heap)
-            if ev.seq != seq:
-                if ev.seq >= 0:  # moved later: re-enter under its own key
-                    heappush(heap, (ev.at_ns, ev.seq, ev))
+            if ev[1] != seq:
+                seq = ev[1]
+                if seq == RELAYED:  # take the key a schedule made now gets
+                    seq = ev[1] = self._seq
+                    self._seq = seq + 1
+                elif seq < 0:
+                    continue
+                heappush(heap, (ev[0], seq, ev))  # moved later or relayed
                 continue
-            ev.seq = -1
+            ev[1] = SPENT
             self.now_ns = at_ns
             self.now = at_ns / NS_PER_S
             self._processed += 1
             if trace is not None:
-                trace("%.9f %s %s" % (self.now, ev.kind, ev.label))
+                trace("%.9f %s %s" % (self.now, ev[2], ev[4]))
             try:
-                ev.fn()
+                ev[3]()
             except Exception as exc:
                 raise SimulationFault(
                     "handler for %s (%s) at t=%.9f failed: %r"
-                    % (ev.kind, ev.label, self.now, exc)
+                    % (ev[2], ev[4], self.now, exc)
                 ) from exc
         self.now_ns = t_end_ns
         self.now = t_end_ns / NS_PER_S

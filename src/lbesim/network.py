@@ -10,31 +10,15 @@ from collections import deque
 
 from . import engine
 
-ACK_BYTES = 40
-
 
 class Packet:
-    __slots__ = (
-        "flow_id",
-        "seq",
-        "size_bytes",
-        "sent_at",
-        "is_ack",
-        "ack_no",
-        "measured_owd",
-        "echo_sent_at",
-    )
+    __slots__ = ("flow_id", "seq", "size_bytes", "sent_at")
 
-    def __init__(self, flow_id, seq, size_bytes, sent_at, is_ack=False,
-                 ack_no=0, measured_owd=None, echo_sent_at=None):
+    def __init__(self, flow_id, seq, size_bytes, sent_at):
         self.flow_id = flow_id
         self.seq = seq
         self.size_bytes = size_bytes
         self.sent_at = sent_at
-        self.is_ack = is_ack
-        self.ack_no = ack_no
-        self.measured_owd = measured_owd
-        self.echo_sent_at = echo_sent_at
 
 
 class BottleneckLink:
@@ -44,10 +28,11 @@ class BottleneckLink:
     attempt, drops included, so that occupancy approaches 1 under
     saturation. Sum and peak are kept; the series if `queue_samples` is a list.
 
-    Every packet crosses the same propagation delay, so packets reach the
-    far end in the order they finished serializing: the arrival handler
-    takes the head of the `_propagating` FIFO and no event carries its
-    packet.
+    Every packet crosses the same fixed propagation delay, so its arrival
+    time is known when it finishes serializing. The link hands it over
+    then, as on_deliver(packet, arrival_ns), and the receiver schedules
+    what the arrival causes (see return_path_send); no event marks the
+    arrival itself.
     """
 
     def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
@@ -56,18 +41,16 @@ class BottleneckLink:
         self.prop_delay_s = float(prop_delay_s)
         self.buffer_pkts = int(buffer_pkts)
         self.queue = deque()
-        self.busy = False
-        self.on_deliver = None  # set by the scenario wiring: fn(packet)
+        self.on_deliver = None  # set by the scenario wiring: fn(packet, arrival_ns)
         self.queue_samples = None  # list of (time_s, backlog) with traces on
         self.backlog_sum = 0
         self.backlog_peak = 0
         self.total_enqueued = 0
         self.total_dropped = 0
+        self.in_service = None   # packet being serialized; None when idle
         self._prop_ns = engine.to_ns(self.prop_delay_s)
         self._tx_ns = {}          # packet size -> serialization time in ns
-        self._labels = {}         # flow id -> event label, filled by _label
-        self._in_service = None   # packet being serialized
-        self._propagating = deque()  # serialized packets, in arrival order
+        self._labels = {}         # flow id -> event label
 
     def serialization_s(self, size_bytes):
         return size_bytes * 8.0 / self.capacity_bps
@@ -86,49 +69,40 @@ class BottleneckLink:
             self.total_dropped += 1
             return False
         self.total_enqueued += 1
-        queue.append(p)
-        if not self.busy:
-            self.transmit_next()
+        if self.in_service is None:  # an idle link has an empty buffer
+            self._start(p)
+        else:
+            queue.append(p)
         return True
 
-    def transmit_next(self):
-        """Start serializing the head-of-line packet if the link is idle."""
-        if self.busy or not self.queue:
-            return
-        p = self.queue.popleft()
-        self.busy = True
-        self._in_service = p
+    def _start(self, p):
+        """Serialize p, which is at the head of the line."""
+        self.in_service = p
         tx_ns = self._tx_ns.get(p.size_bytes)
         if tx_ns is None:
             tx_ns = self._tx_ns[p.size_bytes] = engine.to_ns(
                 self.serialization_s(p.size_bytes))
+        label = self._labels.get(p.flow_id)
+        if label is None:
+            label = self._labels[p.flow_id] = "flow%s" % p.flow_id
         sim = self.sim
         sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
-                           self._tx_done, self._label(p.flow_id))
-
-    def _label(self, flow_id):
-        label = self._labels.get(flow_id)
-        if label is None:
-            label = self._labels[flow_id] = "flow%s" % flow_id
-        return label
+                           self._tx_done, label)
 
     def _tx_done(self):
-        p = self._in_service
-        self._in_service = None
-        self.busy = False
-        self._propagating.append(p)
-        sim = self.sim
-        sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
-                           self._arrive, self._labels[p.flow_id])
+        self.on_deliver(self.in_service, self.sim.now_ns + self._prop_ns)
         if self.queue:
-            self.transmit_next()
+            self._start(self.queue.popleft())
+        else:
+            self.in_service = None
 
-    def _arrive(self):
-        self.on_deliver(self._propagating.popleft())
 
+def return_path_send(sim, arrive_ns, delay_ns, deliver, label=""):
+    """Call deliver() `delay_ns` nanoseconds after a data packet's arrival
+    at `arrive_ns`, which may be later than now: the return path has no
+    queue and no loss.
 
-def return_path_send(sim, ack, delay_ns, deliver, label=""):
-    """Deliver an ack to the sender after exactly `delay_ns` nanoseconds;
-    the return path has no queue and no loss."""
-    sim.schedule_at_ns(sim.now_ns + delay_ns, engine.PACKET_ARRIVAL,
-                       lambda: deliver(ack), label)
+    The ack is relayed through the arrival time (Simulator.relay_at_ns),
+    so it dispatches exactly as if an event at the arrival had sent it."""
+    sim.relay_at_ns(arrive_ns, arrive_ns + delay_ns, engine.PACKET_ARRIVAL,
+                    deliver, label)

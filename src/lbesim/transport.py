@@ -9,12 +9,11 @@ receiver window is infinite.
 """
 
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from . import engine
-from .controllers import AckSample
 from .metrics import WINDOW_S
-from .network import ACK_BYTES, Packet, return_path_send
+from .network import Packet, return_path_send
 
 MIN_RTO = 0.2
 INITIAL_RTO = 1.0
@@ -27,6 +26,10 @@ class ProtocolFault(RuntimeError):
 
 
 class FlowEndpoint:
+    """Both ends of one flow. `horizon_ns` is the end of the run, if the
+    caller sets it: the receiver ignores packets that would arrive after
+    it, as a run stopped there never sees them."""
+
     def __init__(self, sim, link, flow_id, controller, pkt_size_bytes=1500,
                  return_delay_s=0.025, start_at=0.0):
         self.sim = sim
@@ -57,8 +60,10 @@ class FlowEndpoint:
         self._rto_timer = None  # one per flow, moved by every new ack
 
         # receiver side
+        self.horizon_ns = math.inf
         self.rx_next = 0
         self.rx_ooo = set()
+        self._acks = deque()  # (ack_no, owd, echo_sent_at) on the return path
 
         # accounting
         self.packets_sent = 0      # into the link, retransmissions included
@@ -86,13 +91,14 @@ class FlowEndpoint:
         resent go-back-N style before any new data goes out."""
         sent = 0
         while True:
+            window = math.floor(self.cwnd + self.fractional_credit)
             if self.rtx_next < self.snd_next:
-                if self.rtx_next - self.snd_una >= self.window():
+                if self.rtx_next - self.snd_una >= window:
                     break
                 self._emit(self.rtx_next)
                 self.rtx_next += 1
             else:
-                if self.in_flight >= self.window():
+                if self.snd_next - self.snd_una >= window:  # in flight
                     break
                 self._emit(self.snd_next)
                 self.snd_next += 1
@@ -137,9 +143,13 @@ class FlowEndpoint:
 
     # -- receiver side ---------------------------------------------------
 
-    def on_data_arrival(self, p):
-        """Receiver: accept a data packet and immediately ack it, echoing the
-        sender timestamp and the measured one-way delay."""
+    def on_data_arrival(self, p, at_ns):
+        """Receiver: accept a data packet that arrives at at_ns and ack it at
+        once, echoing the sender timestamp and the measured one-way delay.
+        The link calls this when the packet finishes serializing, before
+        at_ns; the ack still leaves at at_ns (see return_path_send)."""
+        if at_ns > self.horizon_ns:
+            return
         self.delivered_pkts += 1
         self.in_network -= 1
         advanced = 0
@@ -152,40 +162,45 @@ class FlowEndpoint:
                 advanced += 1
         elif p.seq > self.rx_next:
             self.rx_ooo.add(p.seq)
-        now = self.sim.now
+        now = at_ns / engine.NS_PER_S
         if advanced:
             self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
-        ack = Packet(self.flow_id, p.seq, ACK_BYTES, now, True, self.rx_next,
-                     now - p.sent_at, p.sent_at)
-        return_path_send(self.sim, ack, self._return_ns, self.on_ack_arrival,
+        self._acks.append((self.rx_next, now - p.sent_at, p.sent_at))
+        return_path_send(self.sim, at_ns, self._return_ns, self._ack_arrive,
                          self._ack_label)
+
+    def _ack_arrive(self):
+        # acks of one flow share one return delay, so they land in the
+        # order they were sent
+        self.on_ack_arrival(*self._acks.popleft())
 
     # -- ack processing --------------------------------------------------
 
-    def on_ack_arrival(self, a):
-        if a.ack_no > self.snd_next:
+    def on_ack_arrival(self, ack_no, owd, echo_sent_at):
+        if ack_no > self.snd_next:
             raise ProtocolFault(
                 "flow %s acked seq %d beyond highest sent %d"
-                % (self.flow_id, a.ack_no, self.snd_next))
-        rtt = self.sim.now - a.echo_sent_at
+                % (self.flow_id, ack_no, self.snd_next))
+        rtt = self.sim.now - echo_sent_at
         self._update_rto_estimator(rtt)
-        if a.ack_no > self.snd_una:
-            self.snd_una = a.ack_no
-            self.rtx_next = max(self.rtx_next, a.ack_no)
+        if ack_no > self.snd_una:
+            self.snd_una = ack_no
+            if ack_no > self.rtx_next:
+                self.rtx_next = ack_no
             self.dupacks = 0
             self.rto_backoff = 1
             if self.in_recovery:
                 self.cwnd = self.ssthresh  # deflate on leaving fast recovery
                 self.in_recovery = False
             self._rearm_rto()
-            self.controller.on_ack(self, AckSample(rtt, a.measured_owd))
+            self.controller.on_ack(self, rtt, owd)
             if self.cwnd < 1.0:
                 self.fractional_credit += self.cwnd
             else:
                 self.fractional_credit = 0.0
             self.try_send()
             self._maybe_schedule_credit_tick()
-        elif a.ack_no == self.snd_una and self.in_flight > 0:
+        elif ack_no == self.snd_una and self.in_flight > 0:
             self.dupacks += 1
             if self.dupacks == 3:
                 self.controller.on_loss(self, "dupack")
@@ -217,7 +232,7 @@ class FlowEndpoint:
             engine.RTO_TIMER, self._on_rto, self.label)
 
     def _rearm_rto(self):
-        if self.in_flight > 0:
+        if self.snd_next > self.snd_una:  # data in flight
             self._arm_rto()
         elif self._rto_timer is not None:
             self.sim.cancel(self._rto_timer)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import by_label, by_value, run_catalog
 from lbesim import harness, metrics
-from lbesim.controllers import (AckSample, LedbatController, NiceController,
+from lbesim.controllers import (LedbatController, NiceController,
                                 ledbat_offset, lp_early_congestion,
                                 lp_update_delay)
 from lbesim.engine import Simulator
@@ -206,7 +206,7 @@ def test_12_packet_conservation_and_drain():
     link = BottleneckLink(sim, CAPACITY, 0.025, 100)
     flows = [FlowEndpoint(sim, link, i, make_controller(p), start_at=0.0)
              for i, p in enumerate(("reno", "ledbat", "nice"))]
-    link.on_deliver = lambda p: flows[p.flow_id].on_data_arrival(p)
+    link.on_deliver = lambda p, at_ns: flows[p.flow_id].on_data_arrival(p, at_ns)
     for f in flows:
         f.start()
     sim.run_until(10.0)
@@ -218,7 +218,7 @@ def test_12_packet_conservation_and_drain():
         protocol = "closed"
         inflate_on_dupack = False
 
-        def on_ack(self, flow, sample):
+        def on_ack(self, flow, rtt, owd):
             pass
 
         def on_loss(self, flow, kind):
@@ -299,7 +299,7 @@ def test_14_controller_update_oracles():
             cwnd = c
             ssthresh = 1e9
 
-        led.on_ack(F, AckSample(rtt=d + 0.025, owd=d))
+        led.on_ack(F, d + 0.025, d)
         dm2 = min(dmin, d)
         step = min(gamma * (tau - (d - dm2)), 1.0)
         bad += F.cwnd != pytest.approx(max(c + step / c, 1.0))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lbesim.controllers import (GainTargetCoords, LedbatController,
                                 LpController, NiceController, RenoController,
-                                SlidingExtrema, AckSample, ledbat_offset,
+                                SlidingExtrema, ledbat_offset,
                                 lp_early_congestion, lp_update_delay,
                                 make_controller)
 from lbesim.engine import Simulator
@@ -91,7 +91,7 @@ def test_ledbat_step_oracle_100_random_inputs():
         c = rng.uniform(1.0, 60.0)
         flow = StubFlow(cwnd=c)
         d = rng.uniform(0.01, 0.3)
-        ctl.on_ack(flow, AckSample(rtt=d + 0.025, owd=d))
+        ctl.on_ack(flow, d + 0.025, d)
         dmin2 = min(dmin, d)
         step = min(gamma * (tau - (d - dmin2)), 1.0)  # ramp capped at 1/RTT
         assert flow.cwnd == pytest.approx(max(c + step / c, 1.0))
@@ -142,10 +142,10 @@ def test_sliding_extrema_rejects_bad_window():
 def test_reno_slow_start_and_congestion_avoidance():
     ctl = RenoController()
     flow = StubFlow(cwnd=2.0, ssthresh=4.0)
-    ctl.on_ack(flow, AckSample(0.05, 0.026))
+    ctl.on_ack(flow, 0.05, 0.026)
     assert flow.cwnd == 3.0  # slow start: +1 per ack
     flow.cwnd = 8.0
-    ctl.on_ack(flow, AckSample(0.05, 0.026))
+    ctl.on_ack(flow, 0.05, 0.026)
     assert flow.cwnd == pytest.approx(8.0 + 1.0 / 8.0)
     ctl.on_loss(flow, "dupack")
     assert flow.ssthresh == pytest.approx((8.0 + 1.0 / 8.0) / 2.0)
@@ -157,7 +157,7 @@ def test_reno_slow_start_and_congestion_avoidance():
 
 def drive_lp_until(ctl, flow, owd, predicate, limit=500):
     for _ in range(limit):
-        ctl.on_ack(flow, AckSample(rtt=owd + 0.025, owd=owd))
+        ctl.on_ack(flow, owd + 0.025, owd)
         if predicate():
             return True
     return False
@@ -167,7 +167,7 @@ def test_lp_indication_halves_and_freezes_then_collapses():
     ctl = LpController(alpha=0.25)
     flow = StubFlow(cwnd=16.0, ssthresh=2.0)
     # establish a quiet baseline, then raise the one-way delay
-    ctl.on_ack(flow, AckSample(0.055, 0.030))
+    ctl.on_ack(flow, 0.055, 0.030)
     assert ctl.phase == "normal"
     before = None
 
@@ -177,7 +177,7 @@ def test_lp_indication_halves_and_freezes_then_collapses():
     # the smoothed delay crosses the threshold exactly once: halve + freeze
     for _ in range(100):
         before = flow.cwnd
-        ctl.on_ack(flow, AckSample(0.075, 0.050))
+        ctl.on_ack(flow, 0.075, 0.050)
         if entered_inference():
             break
     assert ctl.phase == "inference"
@@ -186,7 +186,7 @@ def test_lp_indication_halves_and_freezes_then_collapses():
     frozen = flow.cwnd
     # sustained high delay is the same episode: the window stays frozen
     for _ in range(5):
-        ctl.on_ack(flow, AckSample(0.075, 0.050))
+        ctl.on_ack(flow, 0.075, 0.050)
     assert flow.cwnd == frozen and ctl.phase == "inference"
     # delay de-asserts (re-arms the detector), then re-asserts while still
     # inferring: persistent congestion collapses to the minimum window
@@ -232,10 +232,10 @@ def test_lp_timeout_exits_inference():
 def test_lp_grows_like_reno_when_uncongested():
     ctl = LpController()
     flow = StubFlow(cwnd=4.0, ssthresh=8.0)
-    ctl.on_ack(flow, AckSample(0.055, 0.030))
+    ctl.on_ack(flow, 0.055, 0.030)
     assert flow.cwnd == 5.0  # slow start below ssthresh
     flow.cwnd, flow.ssthresh = 8.0, 8.0
-    ctl.on_ack(flow, AckSample(0.055, 0.030))
+    ctl.on_ack(flow, 0.055, 0.030)
     assert flow.cwnd == pytest.approx(8.0 + 1.0 / 8.0)
 
 
@@ -297,11 +297,11 @@ def test_nice_slow_start_exits_on_marked_ack():
     ctl = NiceController()
     flow = StubFlow(cwnd=4.0)
     flow.snd_next = 10
-    ctl.on_ack(flow, AckSample(0.050, 0.026))
+    ctl.on_ack(flow, 0.050, 0.026)
     assert ctl.in_slow_start and flow.cwnd == 5.0
     # a marked ack (delay beyond the min/max-range threshold) ends the
     # exponential phase at once, before a long-RTT epoch can overshoot
-    ctl.on_ack(flow, AckSample(0.200, 0.176))
+    ctl.on_ack(flow, 0.200, 0.176)
     assert not ctl.in_slow_start and flow.cwnd == 5.0
 
 
@@ -309,8 +309,8 @@ def test_nice_base_rtt_is_all_time_minimum():
     ctl = NiceController()
     flow = StubFlow(cwnd=2.0)
     flow.snd_next = 5
-    ctl.on_ack(flow, AckSample(0.050, 0.026))
-    ctl.on_ack(flow, AckSample(0.120, 0.096))
+    ctl.on_ack(flow, 0.050, 0.026)
+    ctl.on_ack(flow, 0.120, 0.096)
     assert ctl.base_rtt == 0.050
     # the marking extrema, in contrast, live in the sliding window
     assert ctl.rtt_min == 0.050 and ctl.rtt_max == 0.120
@@ -321,11 +321,11 @@ def test_nice_base_rtt_is_all_time_minimum():
 def test_ledbat_converges_on_target_sign():
     ctl = LedbatController(tau=0.025)
     flow = StubFlow(cwnd=10.0)
-    ctl.on_ack(flow, AckSample(0.05, 0.026))  # first sample sets the base
+    ctl.on_ack(flow, 0.05, 0.026)  # first sample sets the base
     assert ctl.d_min == 0.026
     grown = flow.cwnd
     assert grown > 10.0  # below target: grow
-    ctl.on_ack(flow, AckSample(0.1, 0.026 + 0.060))  # far above target
+    ctl.on_ack(flow, 0.1, 0.026 + 0.060)  # far above target
     assert flow.cwnd < grown  # above target: shrink
 
 
@@ -345,16 +345,16 @@ def test_ledbat_cwnd_floor_is_one_packet():
     ctl = LedbatController(tau=0.025)
     ctl.d_min = 0.026
     flow = StubFlow(cwnd=1.0)
-    ctl.on_ack(flow, AckSample(0.3, 0.250))  # way above target
+    ctl.on_ack(flow, 0.3, 0.250)  # way above target
     assert flow.cwnd == 1.0
 
 
 def test_ledbat_optional_slow_start_stops_at_target():
     ctl = LedbatController(tau=0.025, slow_start=True)
     flow = StubFlow(cwnd=2.0, ssthresh=100.0)
-    ctl.on_ack(flow, AckSample(0.05, 0.026))
+    ctl.on_ack(flow, 0.05, 0.026)
     assert flow.cwnd == 3.0  # exponential while below target
-    ctl.on_ack(flow, AckSample(0.1, 0.080))  # queue above target: exits
+    ctl.on_ack(flow, 0.1, 0.080)  # queue above target: exits
     assert not ctl.in_slow_start
 
 

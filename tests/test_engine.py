@@ -1,5 +1,5 @@
 """Event loop unit tests: ordering, FIFO ties, cancellation, fault
-wrapping and the integer-nanosecond clock."""
+wrapping, the integer-nanosecond clock, lazy moves and relays."""
 
 import pytest
 from hypothesis import given
@@ -68,9 +68,9 @@ def test_cancel_prevents_firing_and_reports_state():
     sim = Simulator()
     fired = []
     h = sim.schedule_at(0.5, "K", lambda: fired.append(1))
-    assert h.pending
+    assert sim.pending(h)
     assert sim.cancel(h) is True
-    assert not h.pending
+    assert not sim.pending(h)
     assert sim.cancel(h) is False  # already cancelled
     sim.run_until(1.0)
     assert fired == []
@@ -80,7 +80,7 @@ def test_cancel_after_firing_returns_false():
     sim = Simulator()
     h = sim.schedule_at(0.5, "K", lambda: None)
     sim.run_until(1.0)
-    assert not h.pending
+    assert not sim.pending(h)
     assert sim.cancel(h) is False
 
 
@@ -187,7 +187,7 @@ def _play(ops, lazy):
         elif op == "move" and lazy:
             handles[k] = sim.reschedule(handles[k], at_ns, "K", fns[k], str(k))
         elif op == "move":
-            if handles[k].pending:
+            if sim.pending(handles[k]):
                 sim.cancel(handles[k])
             handles[k] = sim.schedule_at_ns(at_ns, "K", fns[k], str(k))
         else:
@@ -215,10 +215,10 @@ def test_deferred_event_counts_once_as_pending():
         assert sim.reschedule(h, to_ns(t), "K", fn) is h
     stats = sim.run_until(1.5)  # the old entry surfaced and re-entered
     assert (stats.events_processed, stats.pending) == (0, 1)
-    assert h.pending and fired == []
+    assert sim.pending(h) and fired == []
     stats = sim.run_until(4.0)
     assert (stats.events_processed, stats.pending) == (1, 0)
-    assert fired == [3.0] and not h.pending
+    assert fired == [3.0] and not sim.pending(h)
 
 
 def test_reschedule_earlier_or_spent_schedules_anew():
@@ -226,10 +226,94 @@ def test_reschedule_earlier_or_spent_schedules_anew():
     fired = []
     h = sim.schedule_at(2.0, "K", lambda: fired.append("old"))
     h2 = sim.reschedule(h, to_ns(1.0), "K", lambda: fired.append("new"))
-    assert h2 is not h and not h.pending
+    assert h2 is not h and not sim.pending(h)
     sim.run_until(3.0)
     assert fired == ["new"]
     h3 = sim.reschedule(h2, to_ns(4.0), "K", lambda: fired.append("again"))
     assert h3 is not h2
     sim.run_until(5.0)
     assert fired == ["new", "again"]
+
+
+# -- relays (the ack sent from a data arrival) --------------------------------
+
+def _play_relays(ops, relay):
+    """Apply event/relay/run steps. An event's handler records itself and
+    schedules a follow-up, so handlers take sequence numbers while relays
+    wait. A relay uses relay_at_ns when `relay`, else a real event at
+    via_ns whose handler schedules the target. Returns the dispatched
+    (time_ns, label) sequence of the recording handlers."""
+    sim = Simulator()
+    fired = []
+
+    def record(label):
+        return lambda: fired.append((sim.now_ns, label))
+
+    def event(label, dt_ns):
+        def fn():
+            record(label)()
+            sim.schedule_at_ns(sim.now_ns + dt_ns, "K", record(label + "'"))
+        return fn
+
+    for i, (op, d1_us, d2_us) in enumerate(ops):
+        d1, d2 = d1_us * 1000, d2_us * 1000
+        if op == "event":
+            sim.schedule_at_ns(sim.now_ns + d1, "K", event(str(i), d2))
+        elif op == "relay" and relay:
+            via = sim.now_ns + d1
+            sim.relay_at_ns(via, via + d2, "K", record(str(i)))
+        elif op == "relay":
+            via = sim.now_ns + d1
+            fn = record(str(i))
+            sim.schedule_at_ns(
+                via, "K", lambda at=via + d2, fn=fn: sim.schedule_at_ns(at, "K", fn))
+        else:
+            sim.run_until((sim.now_ns + d1) / NS_PER_S)
+    sim.run_until(sim.now + 1.0)
+    return fired
+
+
+@given(st.lists(st.tuples(st.sampled_from(["event", "relay", "run"]),
+                          st.integers(min_value=0, max_value=6),
+                          st.integers(min_value=0, max_value=6)),
+                max_size=80))
+def test_relay_dispatches_like_a_handler_scheduling_at_via(ops):
+    # microsecond steps of 0..6 tie relays, their targets and the events
+    # (and follow-ups) that handlers schedule in between
+    assert _play_relays(ops, relay=True) == _play_relays(ops, relay=False)
+
+
+def test_relay_is_one_pending_event_and_its_step_is_not_processed():
+    sim = Simulator()
+    fired = []
+    h = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(sim.now))
+    assert sim.pending(h)
+    stats = sim.run_until(0.5)
+    assert (stats.events_processed, stats.pending) == (0, 1)
+    stats = sim.run_until(1.5)  # the relay step happened at 1.0
+    assert (stats.events_processed, stats.pending) == (0, 1)
+    assert sim.pending(h) and fired == []
+    stats = sim.run_until(3.0)
+    assert (stats.events_processed, stats.pending) == (1, 0)
+    assert fired == [2.0] and not sim.pending(h)
+
+
+def test_cancelled_relay_never_fires_before_or_after_its_step():
+    sim = Simulator()
+    fired = []
+    before = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(1))
+    after = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(2))
+    assert sim.cancel(before) is True
+    sim.run_until(1.5)
+    assert sim.cancel(after) is True and sim.cancel(after) is False
+    stats = sim.run_until(3.0)
+    assert fired == [] and (stats.events_processed, stats.pending) == (0, 0)
+
+
+def test_relay_to_before_its_step_raises():
+    sim = Simulator()
+    with pytest.raises(ScheduleInPastError):
+        sim.relay_at_ns(to_ns(2.0), to_ns(1.0), "K", lambda: None)
+    sim.run_until(1.0)
+    with pytest.raises(ScheduleInPastError):
+        sim.relay_at_ns(to_ns(0.5), to_ns(3.0), "K", lambda: None)

@@ -7,9 +7,9 @@ first packet arrives at 26.2 ms."""
 
 import pytest
 
-from lbesim.engine import Simulator
+from lbesim.engine import NS_PER_S, Simulator
 from lbesim.harness import write_traces
-from lbesim.network import ACK_BYTES, BottleneckLink, Packet, return_path_send
+from lbesim.network import BottleneckLink, Packet, return_path_send
 
 
 def make_link(sim, capacity=10e6, delay=0.025, buffer_pkts=100):
@@ -24,24 +24,25 @@ def test_serialization_time():
     sim = Simulator()
     link = make_link(sim)
     assert link.serialization_s(1500) == pytest.approx(1.2e-3)
-    assert link.serialization_s(ACK_BYTES) == pytest.approx(32e-6)
+    assert link.serialization_s(40) == pytest.approx(32e-6)
 
 
 def test_first_packet_arrives_after_serialization_plus_propagation():
     sim = Simulator()
     link = make_link(sim)
-    arrivals = []
-    link.on_deliver = lambda p: arrivals.append((sim.now, p.seq))
+    handed = []
+    link.on_deliver = lambda p, at_ns: handed.append((sim.now, at_ns, p.seq))
     assert link.enqueue(pkt(0)) is True
     sim.run_until(1.0)
-    assert arrivals == [(pytest.approx(0.0262), 0)]
+    # handed over when serialization ends, with its arrival time
+    assert handed == [(pytest.approx(0.0012), 26_200_000, 0)]
 
 
 def test_back_to_back_packets_are_spaced_by_serialization():
     sim = Simulator()
     link = make_link(sim)
     arrivals = []
-    link.on_deliver = lambda p: arrivals.append((sim.now, p.seq))
+    link.on_deliver = lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p.seq))
     for i in range(3):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -56,7 +57,7 @@ def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
     for traces in (False, True):
         sim = Simulator()
         link = make_link(sim, buffer_pkts=5)
-        link.on_deliver = lambda p: None
+        link.on_deliver = lambda p, at_ns: None
         if traces:
             link.queue_samples = []
         accepted = [link.enqueue(pkt(i)) for i in range(7)]
@@ -79,7 +80,7 @@ def test_dropped_packet_is_never_delivered():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
     arrivals = []
-    link.on_deliver = lambda p: arrivals.append(p.seq)
+    link.on_deliver = lambda p, at_ns: arrivals.append(p.seq)
     for i in range(5):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -90,32 +91,41 @@ def test_dropped_packet_is_never_delivered():
 def test_queue_drains_and_link_goes_idle():
     sim = Simulator()
     link = make_link(sim)
-    link.on_deliver = lambda p: None
+    link.on_deliver = lambda p, at_ns: None
     for i in range(4):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
     assert not link.queue
-    assert not link.busy
+    assert link.in_service is None
 
 
 def test_return_path_is_pure_delay():
     sim = Simulator()
     arrivals = []
-    ack = Packet(0, 0, ACK_BYTES, 0.0, is_ack=True, ack_no=1)
-    return_path_send(sim, ack, 25_000_000, lambda a: arrivals.append(sim.now))
+    return_path_send(sim, 0, 25_000_000, lambda: arrivals.append(sim.now))
     sim.run_until(1.0)
     assert arrivals == [pytest.approx(0.025)]
+
+
+def test_return_path_starts_at_the_data_arrival():
+    sim = Simulator()
+    arrivals = []
+    # sent now for a data packet that reaches the receiver at 40 ms
+    return_path_send(sim, 40_000_000, 25_000_000, lambda: arrivals.append(sim.now_ns))
+    stats = sim.run_until(0.050)
+    assert arrivals == [] and (stats.events_processed, stats.pending) == (0, 1)
+    sim.run_until(1.0)
+    assert arrivals == [65_000_000]
 
 
 def test_return_path_never_contends_with_forward_traffic():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
-    link.on_deliver = lambda p: None
+    link.on_deliver = lambda p, at_ns: None
     for i in range(3):  # keep the forward link busy
         link.enqueue(pkt(i))
     arrivals = []
-    ack = Packet(0, 0, ACK_BYTES, 0.0, is_ack=True, ack_no=1)
-    return_path_send(sim, ack, 10_000_000, lambda a: arrivals.append(sim.now))
+    return_path_send(sim, 0, 10_000_000, lambda: arrivals.append(sim.now))
     sim.run_until(1.0)
     assert arrivals == [pytest.approx(0.010)]
 
@@ -123,7 +133,7 @@ def test_return_path_never_contends_with_forward_traffic():
 def test_write_queue_csv_format(tmp_path):
     sim = Simulator()
     link = make_link(sim)
-    link.on_deliver = lambda p: None
+    link.on_deliver = lambda p, at_ns: None
     link.queue_samples = []
     link.enqueue(pkt(0))
     link.enqueue(pkt(1))

@@ -5,7 +5,7 @@ import pytest
 
 from lbesim.engine import Simulator
 from lbesim.controllers import RenoController
-from lbesim.network import BottleneckLink, Packet, ACK_BYTES
+from lbesim.network import BottleneckLink, Packet
 from lbesim.transport import (FlowEndpoint, MIN_RTO, ProtocolFault)
 
 
@@ -16,7 +16,7 @@ class NullController:
     inflate_on_dupack = False
     floor = 1.0
 
-    def on_ack(self, flow, sample):
+    def on_ack(self, flow, rtt, owd):
         pass
 
     def on_loss(self, flow, kind):
@@ -82,8 +82,8 @@ def test_rto_does_nothing_when_everything_is_acked():
 
 
 def ack(ack_no, now=0.0):
-    return Packet(0, ack_no, ACK_BYTES, now, is_ack=True, ack_no=ack_no,
-                  measured_owd=0.026, echo_sent_at=now)
+    """Arguments of on_ack_arrival: ack number, one-way delay, echo."""
+    return ack_no, 0.026, now
 
 
 def test_three_dupacks_trigger_fast_retransmit_and_recovery():
@@ -92,16 +92,16 @@ def test_three_dupacks_trigger_fast_retransmit_and_recovery():
     f.ssthresh = 5.0
     f.snd_una, f.snd_next, f.rtx_next = 0, 10, 10
     for _ in range(2):
-        f.on_ack_arrival(ack(0))
+        f.on_ack_arrival(*ack(0))
     assert f.dupacks == 2 and f.packets_sent == 0
-    f.on_ack_arrival(ack(0))  # third duplicate
+    f.on_ack_arrival(*ack(0))  # third duplicate
     assert f.packets_sent == 1          # fast retransmit of snd_una
     assert f.in_recovery
     assert f.ssthresh == 5.0
     assert f.cwnd == 5.0 + 3.0          # halved then inflated
-    f.on_ack_arrival(ack(0))            # fourth duplicate inflates further
+    f.on_ack_arrival(*ack(0))            # fourth duplicate inflates further
     assert f.cwnd == 9.0
-    f.on_ack_arrival(ack(10))           # recovery ends, window deflates
+    f.on_ack_arrival(*ack(10))           # recovery ends, window deflates
     assert not f.in_recovery
     # deflated to ssthresh, then one congestion-avoidance increment
     assert f.cwnd == pytest.approx(5.0 + 1.0 / 5.0)
@@ -111,7 +111,7 @@ def test_three_dupacks_trigger_fast_retransmit_and_recovery():
 def test_dupacks_without_outstanding_data_are_ignored():
     sim, link, f = make_flow()
     for _ in range(4):
-        f.on_ack_arrival(ack(0))
+        f.on_ack_arrival(*ack(0))
     assert f.dupacks == 0
     assert f.packets_sent == 0
 
@@ -119,20 +119,49 @@ def test_dupacks_without_outstanding_data_are_ignored():
 def test_ack_beyond_highest_sent_faults():
     sim, link, f = make_flow()
     with pytest.raises(ProtocolFault):
-        f.on_ack_arrival(ack(3))
+        f.on_ack_arrival(*ack(3))
 
 
 def test_receiver_reorders_out_of_order_arrivals():
     sim, link, f = make_flow()
     f.in_network = 3
-    f.on_data_arrival(Packet(0, 1, 1500, 0.0))
+    f.on_data_arrival(Packet(0, 1, 1500, 0.0), 0)
     assert f.rx_next == 0 and not f.window_bytes
-    f.on_data_arrival(Packet(0, 2, 1500, 0.0))
-    f.on_data_arrival(Packet(0, 0, 1500, 0.0))
+    f.on_data_arrival(Packet(0, 2, 1500, 0.0), 0)
+    f.on_data_arrival(Packet(0, 0, 1500, 0.0), 0)
     # the hole fills and the cumulative ack jumps over the buffered packets
     assert f.rx_next == 3
     assert sum(f.window_bytes.values()) == 3 * 1500
     assert not f.rx_ooo
+
+
+def test_packet_arriving_after_the_horizon_is_not_received():
+    sim, link, f = make_flow()
+    # packet 0 finishes serializing at 1.2 ms and arrives at 26.2 ms
+    f.horizon_ns = 26_199_999
+    log = []
+    sim.trace = log.append
+    f.start()
+    stats = sim.run_until(0.5)
+    assert f.packets_sent == 1 and f.in_network == 1
+    assert f.delivered_pkts == 0 and not f.window_bytes
+    # no ack: the one pending event is the retransmission timer
+    assert stats.pending == 1 and not f._acks
+    assert not any(" PacketArrival " in line for line in log)
+
+
+def test_packet_arriving_at_the_horizon_is_received():
+    sim, link, f = make_flow()
+    f.horizon_ns = 26_200_000
+    log = []
+    sim.trace = log.append
+    f.start()
+    sim.run_until(0.5)
+    assert f.delivered_pkts == 1 and sum(f.window_bytes.values()) == 1500
+    # the ack still lands, one return delay after the arrival; every later
+    # packet arrives after the horizon
+    assert "0.051200000 PacketArrival ack-flow0" in log
+    assert f.packets_sent > 1 and f.in_network == f.packets_sent - 1
 
 
 def test_rto_estimator_matches_rfc6298():
@@ -175,10 +204,10 @@ def test_rto_moved_by_acks_fires_once_at_the_last_deadline():
     deadlines = []
     deliver_ack = f.on_ack_arrival
 
-    def on_ack_arrival(a):
-        deliver_ack(a)
+    def on_ack_arrival(*a):
+        deliver_ack(*a)
         assert f._rto_timer is timer  # moved in place, not replaced
-        deadlines.append(timer.at_ns)
+        deadlines.append(timer[0])
 
     f.on_ack_arrival = on_ack_arrival
     log = []
@@ -214,4 +243,4 @@ def test_flow_drains_when_window_closes():
     # every packet ever sent has been delivered; nothing is in flight
     assert f.in_network == 0
     assert f.packets_sent == f.delivered_pkts
-    assert not link.queue and not link.busy
+    assert not link.queue and link.in_service is None
