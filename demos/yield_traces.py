@@ -2,14 +2,15 @@
 """Window traces of each background scheme competing with TCP Reno.
 
 Runs reno-vs-lp, reno-vs-nice and reno-vs-ledbat for 30 seconds each and
-writes (time, cwnd) CSVs into ./traces. The three schemes yield in visibly
+writes reno-<scheme>_flow<i>_cwnd.csv and reno-<scheme>_queue.csv, both
+sampled every 100 ms, into ./traces. The three schemes yield in visibly
 different ways: LP rides a sawtooth with frozen inference segments, NICE
 settles on a small flat plateau, LEDBAT pins its window at one packet.
 """
 
 import os
 
-from lbesim import FlowConfig, ScenarioConfig, run_scenario
+from lbesim import FlowConfig, ScenarioConfig, harness, run_scenario
 
 OUTDIR = "traces"
 
@@ -25,12 +26,8 @@ def main():
         reno_bps, lbe_bps = (bps for _, _, bps in result.report.per_flow)
         print("reno vs %-6s  reno=%5.2f Mbit/s  %s=%5.3f Mbit/s  eta=%.3f"
               % (lbe, reno_bps / 1e6, lbe, lbe_bps / 1e6, result.report.eta))
-        for fid, series in sorted(result.cwnd_traces.items()):
-            path = os.path.join(OUTDIR, "reno-%s_flow%d.csv" % (lbe, fid))
-            with open(path, "w") as fh:
-                fh.write("time_s,cwnd_pkts\n")
-                for t, w in series:
-                    fh.write("%.1f,%.4f\n" % (t, w))
+        harness.write_traces(OUTDIR, result.cwnd_traces, result.queue_samples,
+                             prefix="reno-%s_" % lbe)
     print("traces written to ./%s" % OUTDIR)
 
 

@@ -15,7 +15,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None,
                    help="accepted but unused by the deterministic core")
     p.add_argument("--event-log", default=None, metavar="PATH",
-                   help="debug event log (one line per event)")
+                   help="debug event log, one line per event; a sweep's "
+                        "runs follow each other, each from t=0")
 
 
 def build_parser():
@@ -25,7 +26,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="run a single scenario config")
     p_run.add_argument("config")
     p_run.add_argument("--traces", action="store_true",
-                       help="also emit per-flow cwnd and queue series")
+                       help="also write each flow's cwnd and the queue "
+                            "backlog every 100 ms")
     _add_common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run a sweep spec")
@@ -39,13 +41,6 @@ def build_parser():
     return ap
 
 
-def _event_logger(path):
-    if path is None:
-        return None, None
-    fh = open(path, "w")
-    return fh, lambda line: fh.write(line + "\n")
-
-
 def _emit(text, out, filename):
     if out is None:
         sys.stdout.write(text)
@@ -55,17 +50,12 @@ def _emit(text, out, filename):
             fh.write(text)
 
 
-def cmd_run(args):
+def cmd_run(args, event_log):
     with open(args.config) as fh:
         cfg = harness.load_scenario(fh.read())
-    log_fh, log_fn = _event_logger(args.event_log)
-    try:
-        result = harness.run_scenario(
-            cfg, traces=args.traces,
-            scenario_id=os.path.basename(args.config), event_log=log_fn)
-    finally:
-        if log_fh:
-            log_fh.close()
+    result = harness.run_scenario(
+        cfg, traces=args.traces,
+        scenario_id=os.path.basename(args.config), event_log=event_log)
     header = result.report.CSV_HEADER + "\n"
     _emit(header + result.report.csv_row() + "\n", args.out, "report.csv")
     if args.traces:
@@ -74,18 +64,19 @@ def cmd_run(args):
     return 0
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, event_log):
     with open(args.spec) as fh:
         spec = harness.load_sweep(fh.read())
-    points = harness.run_sweep(spec, scenario_prefix=os.path.basename(args.spec))
+    points = harness.run_sweep(spec, scenario_prefix=os.path.basename(args.spec),
+                               event_log=event_log)
     _emit(harness.sweep_csv(points), args.out, "sweep.csv")
     return 0
 
 
-def cmd_experiment(args):
+def cmd_experiment(args, event_log):
     spec = harness.expand_experiment(args.id, protocol=args.protocol)
     prefix = args.id if args.protocol is None else "%s-%s" % (args.id, args.protocol)
-    points = harness.run_sweep(spec, scenario_prefix=prefix)
+    points = harness.run_sweep(spec, scenario_prefix=prefix, event_log=event_log)
     outdir = args.out or "out"
     written = harness.emit_plot_data(points, prefix, outdir)
     sys.stdout.write("\n".join(written) + "\n")
@@ -94,12 +85,13 @@ def cmd_experiment(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    command = {"run": cmd_run, "sweep": cmd_sweep,
+               "experiment": cmd_experiment}[args.command]
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return cmd_experiment(args)
+        if args.event_log is None:
+            return command(args, None)
+        with open(args.event_log, "w") as log:
+            return command(args, lambda line: log.write(line + "\n"))
     except (harness.ConfigError, OSError) as exc:
         sys.stderr.write("lbesim: %s\n" % exc)
         return 2

@@ -231,19 +231,19 @@ def set_param(cfg, path, value):
 class RunResult:
     report: metrics.MetricsReport
     cwnd_traces: dict          # flow_id -> [(time_s, cwnd)]; {} with traces off
-    queue_samples: list        # (time_s, backlog); None with traces off
+    queue_samples: list        # [(time_s, backlog)] every 100 ms; None with traces off
     run_stats: engine.RunStats
 
 
 def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
                  event_log=None):
     """Build the dumbbell, run to the horizon and compute the metric suite.
-    With traces on, cwnd is sampled every 100 ms and the backlog kept."""
+    With traces on, each flow's cwnd and the link's backlog (waiting
+    packets, the transmitting one excluded) are sampled every 100 ms."""
     cfg.validate()
     sim = Simulator(trace=event_log)
     link = BottleneckLink(sim, cfg.capacity_bps, cfg.fwd_prop_delay_s,
                           cfg.buffer_pkts)
-    link.queue_samples = [] if traces else None
     flows = []
     for i, fc in enumerate(cfg.flows):
         ctl = cfg.build_controller(fc)
@@ -259,6 +259,7 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         f.start()
 
     cwnd_traces = {f.flow_id: [] for f in flows} if traces else {}
+    queue_samples = [] if traces else None
 
     def sample_tick():
         for f in flows:
@@ -268,8 +269,10 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
                     "conservation violated for flow %s" % f.flow_id)
             if f.in_network < 0:
                 raise AssertionError("negative in-flight for flow %s" % f.flow_id)
-            if traces:
+        if traces:
+            for f in flows:
                 cwnd_traces[f.flow_id].append((sim.now, f.cwnd))
+            queue_samples.append((sim.now, len(link.queue)))
         if sim.now + SAMPLE_TICK_S <= cfg.horizon_s:
             sim.schedule_after(SAMPLE_TICK_S, engine.METRICS_SAMPLE_TICK,
                                sample_tick, label="sample")
@@ -293,7 +296,7 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         link.total_enqueued + link.total_dropped, link.backlog_peak,
         cfg.buffer_pkts, cfg.horizon_s, cfg.capacity_bps)
     return RunResult(report=report, cwnd_traces=cwnd_traces,
-                     queue_samples=link.queue_samples, run_stats=stats)
+                     queue_samples=queue_samples, run_stats=stats)
 
 
 # -- sweeps --------------------------------------------------------------

@@ -26,7 +26,7 @@ class BottleneckLink:
 
     The backlog before the insertion decision is sampled at every enqueue
     attempt, drops included, so that occupancy approaches 1 under
-    saturation. Sum and peak are kept; the series if `queue_samples` is a list.
+    saturation. Only the sum and the peak are kept.
 
     Every packet crosses the same fixed propagation delay, so its arrival
     time is known when it finishes serializing. The link hands it over
@@ -42,7 +42,6 @@ class BottleneckLink:
         self.buffer_pkts = int(buffer_pkts)
         self.queue = deque()
         self.on_deliver = None  # set by the scenario wiring: fn(packet, arrival_ns)
-        self.queue_samples = None  # list of (time_s, backlog) with traces on
         self.backlog_sum = 0
         self.backlog_peak = 0
         self.total_enqueued = 0
@@ -63,8 +62,6 @@ class BottleneckLink:
         self.backlog_sum += depth
         if depth > self.backlog_peak:
             self.backlog_peak = depth
-        if self.queue_samples is not None:
-            self.queue_samples.append((self.sim.now, depth))
         if depth >= self.buffer_pkts:
             self.total_dropped += 1
             return False

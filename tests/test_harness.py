@@ -183,6 +183,9 @@ def test_run_scenario_traces_sample_every_100ms():
     series = result.cwnd_traces[0]
     assert len(series) == 11  # 0.0 .. 1.0 inclusive
     assert [t for t, _ in series] == pytest.approx([0.1 * i for i in range(11)])
+    # the backlog is sampled by the same tick: waiting packets only
+    assert [t for t, _ in result.queue_samples] == [t for t, _ in series]
+    assert all(type(b) is int and 0 <= b <= 100 for _, b in result.queue_samples)
 
 
 def test_run_sweep_orders_points_and_labels():
@@ -359,7 +362,9 @@ def test_cli_run_writes_report_and_traces(tmp_path):
     assert len(report.splitlines()) == 2
     assert (out / "flow0_cwnd.csv").exists()
     assert (out / "flow1_cwnd.csv").exists()
-    assert (out / "queue.csv").exists()
+    # the backlog is sampled next to cwnd: one queue row per cwnd row
+    queue = (out / "queue.csv").read_text().splitlines()
+    assert len(queue) == len((out / "flow0_cwnd.csv").read_text().splitlines())
 
 
 def test_cli_run_to_stdout(tmp_path, capsys):
@@ -401,6 +406,21 @@ def test_cli_sweep(tmp_path):
     assert cli.main(["sweep", spec, "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_sweep_event_log(tmp_path):
+    spec = write(tmp_path, "sweep.cfg",
+                 "axis=flows.0.params.tau_ms\nvalues=10,25\n"
+                 "horizon_s=0.2\nflows.0.protocol=ledbat\n")
+    log = tmp_path / "events.log"
+    assert cli.main(["sweep", spec, "--out", str(tmp_path / "o"),
+                     "--event-log", str(log)]) == 0
+    lines = log.read_text().splitlines()
+    # one run after the other in one file, each restarting at t = 0
+    starts = [i for i, l in enumerate(lines)
+              if l == "0.000000000 FlowStart start-flow0"]
+    assert len(starts) == 2 and 0 < starts[1] < len(lines) - 1
+    assert float(lines[starts[1] - 1].split()[0]) > 0.0
 
 
 def test_cli_experiment_requires_protocol_when_needed(capsys):

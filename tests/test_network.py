@@ -1,5 +1,6 @@
 """Bottleneck link unit tests: serialization timing, drop-tail behaviour,
-pre-decision queue sampling and the delay-only return path.
+pre-decision backlog counting, the sampled queue trace and the delay-only
+return path.
 
 Timing oracles for the default dumbbell (10 Mbit/s, 1500 B packets,
 25 ms one-way propagation): serialization = 1500*8/10e6 = 1.2 ms, so the
@@ -8,7 +9,8 @@ first packet arrives at 26.2 ms."""
 import pytest
 
 from lbesim.engine import NS_PER_S, Simulator
-from lbesim.harness import write_traces
+from lbesim.harness import (FlowConfig, ScenarioConfig, run_scenario,
+                            write_traces)
 from lbesim.network import BottleneckLink, Packet, return_path_send
 
 
@@ -54,26 +56,22 @@ def test_back_to_back_packets_are_spaced_by_serialization():
 
 
 def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
-    for traces in (False, True):
-        sim = Simulator()
-        link = make_link(sim, buffer_pkts=5)
-        link.on_deliver = lambda p, at_ns: None
-        if traces:
-            link.queue_samples = []
-        accepted = [link.enqueue(pkt(i)) for i in range(7)]
-        # packet 0 moves straight to the transmitter and frees its slot, the
-        # next five fill the buffer, the seventh is tail-dropped
-        assert accepted == [True] * 6 + [False]
-        assert link.total_enqueued == 6
-        assert link.total_dropped == 1
-        # occupancy is sampled before each insertion decision, drops
-        # included: 0, 0, 1, 2, 3, 4, 5
-        assert link.backlog_sum == 15
-        assert link.backlog_peak == 5
-        if traces:
-            assert [d for _, d in link.queue_samples] == [0, 0, 1, 2, 3, 4, 5]
-        else:
-            assert link.queue_samples is None
+    sim = Simulator()
+    link = make_link(sim, buffer_pkts=5)
+    link.on_deliver = lambda p, at_ns: None
+    accepted = [link.enqueue(pkt(i)) for i in range(7)]
+    # packet 0 moves straight to the transmitter and frees its slot, the
+    # next five fill the buffer, the seventh is tail-dropped
+    assert accepted == [True] * 6 + [False]
+    assert link.total_enqueued == 6
+    assert link.total_dropped == 1
+    assert len(link.queue) == 5
+    # occupancy is sampled before each insertion decision, drops
+    # included: 0, 0, 1, 2, 3, 4, 5
+    assert link.backlog_sum == 15
+    assert link.backlog_peak == 5
+    # the link keeps no per-enqueue series
+    assert not hasattr(link, "queue_samples")
 
 
 def test_dropped_packet_is_never_delivered():
@@ -131,17 +129,19 @@ def test_return_path_never_contends_with_forward_traffic():
 
 
 def test_write_queue_csv_format(tmp_path):
-    sim = Simulator()
-    link = make_link(sim)
-    link.on_deliver = lambda p, at_ns: None
-    link.queue_samples = []
-    link.enqueue(pkt(0))
-    link.enqueue(pkt(1))
-    path = tmp_path / "queue.csv"
-    assert write_traces(str(tmp_path), {}, link.queue_samples) == [str(path)]
-    lines = path.read_text().splitlines()
+    cfg = ScenarioConfig(horizon_s=1.0, flows=[FlowConfig("reno"),
+                                               FlowConfig("reno")])
+    r = run_scenario(cfg, traces=True)
+    paths = write_traces(str(tmp_path), r.cwnd_traces, r.queue_samples)
+    assert paths[-1] == str(tmp_path / "queue.csv")
+    lines = (tmp_path / "queue.csv").read_text().splitlines()
+    cwnd_lines = (tmp_path / "flow0_cwnd.csv").read_text().splitlines()
     assert lines[0] == "time_s,backlog_pkts"
-    # packet 0 went straight to the transmitter, so both samples saw an
-    # empty buffer
-    assert lines[1] == "0.000000,0"
-    assert lines[2] == "0.000000,0"
+    assert len(lines) == len(cwnd_lines) == 12  # header + 0.0 .. 1.0 s
+    assert lines[1:] == ["%.6f,%d" % s for s in r.queue_samples]
+    # one row per cwnd row, at the same time
+    assert ([l.split(",")[0] for l in lines[1:]]
+            == ["%.6f" % float(l.split(",")[0]) for l in cwnd_lines[1:]])
+    # at t = 0 each flow has sent one packet: the first went straight to
+    # the transmitter, the second waits
+    assert lines[1] == "0.000000,1"
