@@ -2,6 +2,7 @@
 experiment, emitting CSV reports and optional traces."""
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -50,12 +51,24 @@ def _emit(text, out, filename):
             fh.write(text)
 
 
-def cmd_run(args, event_log):
+@contextlib.contextmanager
+def _event_log(path):
+    """Yield a writer for the event log at path, or None without one. Enter
+    it only once the input has loaded: bad input must not wipe a log."""
+    if path is None:
+        yield None
+    else:
+        with open(path, "w") as log:
+            yield lambda line: log.write(line + "\n")
+
+
+def cmd_run(args):
     with open(args.config) as fh:
         cfg = harness.load_scenario(fh.read())
-    result = harness.run_scenario(
-        cfg, traces=args.traces,
-        scenario_id=os.path.basename(args.config), event_log=event_log)
+    with _event_log(args.event_log) as event_log:
+        result = harness.run_scenario(
+            cfg, traces=args.traces,
+            scenario_id=os.path.basename(args.config), event_log=event_log)
     header = result.report.CSV_HEADER + "\n"
     _emit(header + result.report.csv_row() + "\n", args.out, "report.csv")
     if args.traces:
@@ -64,19 +77,21 @@ def cmd_run(args, event_log):
     return 0
 
 
-def cmd_sweep(args, event_log):
+def cmd_sweep(args):
     with open(args.spec) as fh:
         spec = harness.load_sweep(fh.read())
-    points = harness.run_sweep(spec, scenario_prefix=os.path.basename(args.spec),
-                               event_log=event_log)
+    with _event_log(args.event_log) as event_log:
+        points = harness.run_sweep(spec, scenario_prefix=os.path.basename(args.spec),
+                                   event_log=event_log)
     _emit(harness.sweep_csv(points), args.out, "sweep.csv")
     return 0
 
 
-def cmd_experiment(args, event_log):
+def cmd_experiment(args):
     spec = harness.expand_experiment(args.id, protocol=args.protocol)
     prefix = args.id if args.protocol is None else "%s-%s" % (args.id, args.protocol)
-    points = harness.run_sweep(spec, scenario_prefix=prefix, event_log=event_log)
+    with _event_log(args.event_log) as event_log:
+        points = harness.run_sweep(spec, scenario_prefix=prefix, event_log=event_log)
     outdir = args.out or "out"
     written = harness.emit_plot_data(points, prefix, outdir)
     sys.stdout.write("\n".join(written) + "\n")
@@ -88,10 +103,7 @@ def main(argv=None):
     command = {"run": cmd_run, "sweep": cmd_sweep,
                "experiment": cmd_experiment}[args.command]
     try:
-        if args.event_log is None:
-            return command(args, None)
-        with open(args.event_log, "w") as log:
-            return command(args, lambda line: log.write(line + "\n"))
+        return command(args)
     except (harness.ConfigError, OSError) as exc:
         sys.stderr.write("lbesim: %s\n" % exc)
         return 2

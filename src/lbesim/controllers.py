@@ -28,25 +28,28 @@ class SlidingExtrema:
             raise ValueError("window and bucket must be positive")
         self.bucket_s = bucket_s
         self.n_buckets = max(int(window_s / bucket_s), 1)
-        self._buckets = deque()  # (bucket_index, min, max)
+        self._buckets = deque()  # [bucket_index, min, max]
+        # extrema over the retained buckets; INF and -INF while empty
+        self.min = INF
+        self.max = -INF
 
     def add(self, t, v):
         k = int(t / self.bucket_s)
-        if self._buckets and self._buckets[-1][0] == k:
-            _, mn, mx = self._buckets[-1]
-            self._buckets[-1] = (k, min(mn, v), max(mx, v))
-        else:
-            self._buckets.append((k, v, v))
-            while self._buckets[0][0] <= k - self.n_buckets:
-                self._buckets.popleft()
-
-    @property
-    def min(self):
-        return min(b[1] for b in self._buckets)
-
-    @property
-    def max(self):
-        return max(b[2] for b in self._buckets)
+        buckets = self._buckets
+        if buckets and buckets[-1][0] == k:
+            last = buckets[-1]
+            if v < last[1]:
+                last[1] = v
+                self.min = min(self.min, v)
+            elif v > last[2]:
+                last[2] = v
+                self.max = max(self.max, v)
+        else:  # a bucket opens and old ones may leave: rescan
+            buckets.append([k, v, v])
+            while buckets[0][0] <= k - self.n_buckets:
+                buckets.popleft()
+            self.min = min(b[1] for b in buckets)
+            self.max = max(b[2] for b in buckets)
 
 
 class Controller:

@@ -144,6 +144,7 @@ class Simulator:
             raise ScheduleInPastError("run_until target is in the past")
         heap = self._heap
         trace = self.trace
+        processed = self._processed  # kept local; written back on leaving
         while heap and heap[0][0] <= t_end_ns:
             at_ns, seq, ev = heappop(heap)
             if ev[1] != seq:
@@ -158,17 +159,19 @@ class Simulator:
             ev[1] = SPENT
             self.now_ns = at_ns
             self.now = at_ns / NS_PER_S
-            self._processed += 1
+            processed += 1
             if trace is not None:
                 trace("%.9f %s %s" % (self.now, ev[2], ev[4]))
             try:
                 ev[3]()
             except Exception as exc:
+                self._processed = processed
                 raise SimulationFault(
                     "handler for %s (%s) at t=%.9f failed: %r"
                     % (ev[2], ev[4], self.now, exc)
                 ) from exc
+        self._processed = processed
         self.now_ns = t_end_ns
         self.now = t_end_ns / NS_PER_S
-        return RunStats(events_processed=self._processed,
-                        pending=self._live - self._processed)
+        return RunStats(events_processed=processed,
+                        pending=self._live - processed)

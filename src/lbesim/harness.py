@@ -252,9 +252,9 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
             pkt_size_bytes=cfg.pkt_size_bytes,
             return_delay_s=cfg.fwd_prop_delay_s + fc.extra_return_delay_s,
             start_at=fc.start_at))
-    link.on_deliver = lambda p, at_ns: flows[p.flow_id].on_data_arrival(p, at_ns)
     horizon_ns = engine.to_ns(cfg.horizon_s)
     for f in flows:
+        link.connect(f.flow_id, f.on_data_arrival, f.pkt_size)
         f.horizon_ns = horizon_ns
         f.start()
 

@@ -12,12 +12,13 @@ from . import engine
 
 
 class Packet:
-    __slots__ = ("flow_id", "seq", "size_bytes", "sent_at")
+    """A data packet; its size is its flow's (see BottleneckLink.connect)."""
 
-    def __init__(self, flow_id, seq, size_bytes, sent_at):
+    __slots__ = ("flow_id", "seq", "sent_at")
+
+    def __init__(self, flow_id, seq, sent_at):
         self.flow_id = flow_id
         self.seq = seq
-        self.size_bytes = size_bytes
         self.sent_at = sent_at
 
 
@@ -30,9 +31,9 @@ class BottleneckLink:
 
     Every packet crosses the same fixed propagation delay, so its arrival
     time is known when it finishes serializing. The link hands it over
-    then, as on_deliver(packet, arrival_ns), and the receiver schedules
-    what the arrival causes (see return_path_send); no event marks the
-    arrival itself.
+    then, as receive(packet, arrival_ns) of the flow's route (see
+    connect), and the receiver schedules what the arrival causes (see
+    return_path_send); no event marks the arrival itself.
     """
 
     def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
@@ -41,18 +42,24 @@ class BottleneckLink:
         self.prop_delay_s = float(prop_delay_s)
         self.buffer_pkts = int(buffer_pkts)
         self.queue = deque()
-        self.on_deliver = None  # set by the scenario wiring: fn(packet, arrival_ns)
         self.backlog_sum = 0
         self.backlog_peak = 0
         self.total_enqueued = 0
         self.total_dropped = 0
         self.in_service = None   # packet being serialized; None when idle
         self._prop_ns = engine.to_ns(self.prop_delay_s)
-        self._tx_ns = {}          # packet size -> serialization time in ns
-        self._labels = {}         # flow id -> event label
+        # flow id -> (receive, serialization ns, event label); see connect
+        self._routes = {}
 
     def serialization_s(self, size_bytes):
         return size_bytes * 8.0 / self.capacity_bps
+
+    def connect(self, flow_id, receive, size_bytes):
+        """Hand flow_id's packets, each size_bytes long, to
+        receive(packet, arrival_ns) when they finish serializing."""
+        self._routes[flow_id] = (
+            receive, engine.to_ns(self.serialization_s(size_bytes)),
+            "flow%s" % flow_id)
 
     def enqueue(self, p):
         """Offer a data packet to the buffer. Returns True if accepted,
@@ -67,29 +74,27 @@ class BottleneckLink:
             return False
         self.total_enqueued += 1
         if self.in_service is None:  # an idle link has an empty buffer
-            self._start(p)
+            self.in_service = p
+            _, tx_ns, label = self._routes[p.flow_id]
+            sim = self.sim
+            sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
+                               self._tx_done, label)
         else:
             queue.append(p)
         return True
 
-    def _start(self, p):
-        """Serialize p, which is at the head of the line."""
-        self.in_service = p
-        tx_ns = self._tx_ns.get(p.size_bytes)
-        if tx_ns is None:
-            tx_ns = self._tx_ns[p.size_bytes] = engine.to_ns(
-                self.serialization_s(p.size_bytes))
-        label = self._labels.get(p.flow_id)
-        if label is None:
-            label = self._labels[p.flow_id] = "flow%s" % p.flow_id
-        sim = self.sim
-        sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
-                           self._tx_done, label)
-
     def _tx_done(self):
-        self.on_deliver(self.in_service, self.sim.now_ns + self._prop_ns)
+        """Hand over the packet that finished serializing, then serialize
+        the head of the line, if any."""
+        sim = self.sim
+        p = self.in_service
+        routes = self._routes
+        routes[p.flow_id][0](p, sim.now_ns + self._prop_ns)
         if self.queue:
-            self._start(self.queue.popleft())
+            p = self.in_service = self.queue.popleft()
+            _, tx_ns, label = routes[p.flow_id]
+            sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
+                               self._tx_done, label)
         else:
             self.in_service = None
 

@@ -90,8 +90,8 @@ class FlowEndpoint:
         never runs out of data. After a timeout the un-acked region is
         resent go-back-N style before any new data goes out."""
         sent = 0
+        window = math.floor(self.cwnd + self.fractional_credit)
         while True:
-            window = math.floor(self.cwnd + self.fractional_credit)
             if self.rtx_next < self.snd_next:
                 if self.rtx_next - self.snd_una >= window:
                     break
@@ -107,13 +107,14 @@ class FlowEndpoint:
             if self.cwnd < 1.0:
                 # a sub-packet window spends one unit of accumulated credit
                 self.fractional_credit = max(self.fractional_credit - 1.0, 0.0)
+                window = math.floor(self.cwnd + self.fractional_credit)
         if sent and self._credit_timer is not None:
             self.sim.cancel(self._credit_timer)
             self._credit_timer = None
         return sent
 
     def _emit(self, seq):
-        p = Packet(self.flow_id, seq, self.pkt_size, self.sim.now)
+        p = Packet(self.flow_id, seq, self.sim.now)
         self.packets_sent += 1
         if self.link.enqueue(p):
             self.in_network += 1
@@ -182,7 +183,13 @@ class FlowEndpoint:
                 "flow %s acked seq %d beyond highest sent %d"
                 % (self.flow_id, ack_no, self.snd_next))
         rtt = self.sim.now - echo_sent_at
-        self._update_rto_estimator(rtt)
+        if self.srtt is None:  # RFC 6298 estimator
+            self.srtt, self.rttvar = rtt, rtt / 2.0
+        else:
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
+            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+        rto = self.srtt + 4.0 * self.rttvar
+        self.rto = rto if rto > MIN_RTO else MIN_RTO
         if ack_no > self.snd_una:
             self.snd_una = ack_no
             if ack_no > self.rtx_next:
@@ -192,15 +199,20 @@ class FlowEndpoint:
             if self.in_recovery:
                 self.cwnd = self.ssthresh  # deflate on leaving fast recovery
                 self.in_recovery = False
-            self._rearm_rto()
+            if self.snd_next > ack_no:  # data still in flight
+                self._arm_rto()
+            elif self._rto_timer is not None:
+                self.sim.cancel(self._rto_timer)
+                self._rto_timer = None
             self.controller.on_ack(self, rtt, owd)
             if self.cwnd < 1.0:
                 self.fractional_credit += self.cwnd
+                self.try_send()
+                self._maybe_schedule_credit_tick()
             else:
                 self.fractional_credit = 0.0
-            self.try_send()
-            self._maybe_schedule_credit_tick()
-        elif ack_no == self.snd_una and self.in_flight > 0:
+                self.try_send()
+        elif ack_no == self.snd_una and self.snd_next > ack_no:  # in flight
             self.dupacks += 1
             if self.dupacks == 3:
                 self.controller.on_loss(self, "dupack")
@@ -214,29 +226,14 @@ class FlowEndpoint:
 
     # -- timers ----------------------------------------------------------
 
-    def _update_rto_estimator(self, rtt):
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
-        else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = max(self.srtt + 4.0 * self.rttvar, MIN_RTO)
-
     def _arm_rto(self):
         """Set the retransmission deadline to now + rto * backoff. A pending
         timer is moved, not replaced (see Simulator.reschedule)."""
         sim = self.sim
         self._rto_timer = sim.reschedule(
-            self._rto_timer, sim.now_ns + engine.to_ns(self.rto * self.rto_backoff),
+            self._rto_timer,
+            sim.now_ns + int(round(self.rto * self.rto_backoff * engine.NS_PER_S)),
             engine.RTO_TIMER, self._on_rto, self.label)
-
-    def _rearm_rto(self):
-        if self.snd_next > self.snd_una:  # data in flight
-            self._arm_rto()
-        elif self._rto_timer is not None:
-            self.sim.cancel(self._rto_timer)
-            self._rto_timer = None
 
     def _on_rto(self):
         self._rto_timer = None

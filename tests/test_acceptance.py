@@ -206,8 +206,8 @@ def test_12_packet_conservation_and_drain():
     link = BottleneckLink(sim, CAPACITY, 0.025, 100)
     flows = [FlowEndpoint(sim, link, i, make_controller(p), start_at=0.0)
              for i, p in enumerate(("reno", "ledbat", "nice"))]
-    link.on_deliver = lambda p, at_ns: flows[p.flow_id].on_data_arrival(p, at_ns)
     for f in flows:
+        link.connect(f.flow_id, f.on_data_arrival, f.pkt_size)
         f.start()
     sim.run_until(10.0)
     conserved = all(

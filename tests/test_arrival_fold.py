@@ -19,11 +19,15 @@ class ThreeEventLink(network.BottleneckLink):
     """Hands each packet over from an event at its arrival time."""
 
     def _tx_done(self):
-        p, sim, deliver = self.in_service, self.sim, self.on_deliver
+        p, sim = self.in_service, self.sim
+        deliver = self._routes[p.flow_id][0]
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
                            lambda: deliver(p, sim.now_ns), "flow%s" % p.flow_id)
         if self.queue:
-            self._start(self.queue.popleft())
+            nxt = self.in_service = self.queue.popleft()
+            _, tx_ns, label = self._routes[nxt.flow_id]
+            sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
+                               self._tx_done, label)
         else:
             self.in_service = None
 

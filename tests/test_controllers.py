@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lbesim.controllers import (GainTargetCoords, LedbatController,
@@ -118,6 +118,42 @@ def test_sliding_extrema_matches_naive_oracle(steps):
         live = [x for kk, x in naive if kk > k - int(window_s / bucket_s)]
         assert ext.min == min(live)
         assert ext.max == max(live)
+
+
+@st.composite
+def extrema_runs(draw):
+    """Window and bucket sizes, then (time, value) steps at non-decreasing
+    times; a bucket's worth of gap and a repeated value are both likely."""
+    bucket_s = draw(st.sampled_from([0.05, 0.25, 1.0, 2.5]))
+    window_s = bucket_s * draw(st.integers(min_value=1, max_value=6)) \
+        + draw(st.sampled_from([0.0, bucket_s / 3.0]))
+    dt = st.one_of(st.just(0.0), st.floats(0.0, bucket_s),
+                   st.floats(0.0, 3.0 * window_s))
+    value = st.one_of(st.sampled_from([0.01, 0.05, 0.2]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    return window_s, bucket_s, draw(st.lists(st.tuples(dt, value),
+                                             min_size=1, max_size=60))
+
+
+@example((1.0, 1.0, [(0.0, 0.5), (0.0, 9.0), (0.0, -9.0), (0.2, 1.0),
+                     (1.0, 0.7)]))  # the bucket holding both extremes leaves
+@given(extrema_runs())
+def test_sliding_extrema_caches_brute_force_extrema(run):
+    window_s, bucket_s, steps = run
+    ext = SlidingExtrema(window_s, bucket_s)
+    n_buckets = max(int(window_s / bucket_s), 1)
+    seen = []  # (bucket_index, value)
+    t = 0.0
+    for dt, v in steps:
+        t += dt
+        ext.add(t, v)
+        k = int(t / bucket_s)
+        seen.append((k, v))
+        live = [x for kk, x in seen if kk > k - n_buckets]
+        assert (ext.min, ext.max) == (min(live), max(live))
+        # the cache agrees with a scan of the buckets it keeps
+        assert ext.min == min(b[1] for b in ext._buckets)
+        assert ext.max == max(b[2] for b in ext._buckets)
 
 
 def test_sliding_extrema_forgets_old_values():

@@ -423,6 +423,22 @@ def test_cli_sweep_event_log(tmp_path):
     assert float(lines[starts[1] - 1].split()[0]) > 0.0
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", "horizon_s=0.2\nflows.0.protocol=bogus\n"),
+    ("sweep", "axis=flows.0.params.tau_ms\nvalues=10,-1\n"
+              "horizon_s=0.2\nflows.0.protocol=ledbat\n"),
+])
+def test_cli_config_error_leaves_event_log_untouched(tmp_path, capsys,
+                                                     command, text):
+    cfg = write(tmp_path, "bad.cfg", text)
+    log = tmp_path / "events.log"
+    log.write_text("0.000000000 FlowStart start-flow0\n")
+    assert cli.main([command, cfg, "--out", str(tmp_path / "o"),
+                     "--event-log", str(log)]) == 2
+    assert "line" in capsys.readouterr().err
+    assert log.read_text() == "0.000000000 FlowStart start-flow0\n"
+
+
 def test_cli_experiment_requires_protocol_when_needed(capsys):
     assert cli.main(["experiment", "fig4"]) == 2
     assert "protocol" in capsys.readouterr().err

@@ -18,8 +18,8 @@ def make_link(sim, capacity=10e6, delay=0.025, buffer_pkts=100):
     return BottleneckLink(sim, capacity, delay, buffer_pkts)
 
 
-def pkt(seq, flow=0, size=1500):
-    return Packet(flow, seq, size, 0.0)
+def pkt(seq, flow=0):
+    return Packet(flow, seq, 0.0)
 
 
 def test_serialization_time():
@@ -33,7 +33,8 @@ def test_first_packet_arrives_after_serialization_plus_propagation():
     sim = Simulator()
     link = make_link(sim)
     handed = []
-    link.on_deliver = lambda p, at_ns: handed.append((sim.now, at_ns, p.seq))
+    link.connect(0, lambda p, at_ns: handed.append((sim.now, at_ns, p.seq)),
+                 1500)
     assert link.enqueue(pkt(0)) is True
     sim.run_until(1.0)
     # handed over when serialization ends, with its arrival time
@@ -44,7 +45,8 @@ def test_back_to_back_packets_are_spaced_by_serialization():
     sim = Simulator()
     link = make_link(sim)
     arrivals = []
-    link.on_deliver = lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p.seq))
+    link.connect(0, lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p.seq)),
+                 1500)
     for i in range(3):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -58,7 +60,7 @@ def test_back_to_back_packets_are_spaced_by_serialization():
 def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=5)
-    link.on_deliver = lambda p, at_ns: None
+    link.connect(0, lambda p, at_ns: None, 1500)
     accepted = [link.enqueue(pkt(i)) for i in range(7)]
     # packet 0 moves straight to the transmitter and frees its slot, the
     # next five fill the buffer, the seventh is tail-dropped
@@ -78,7 +80,7 @@ def test_dropped_packet_is_never_delivered():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
     arrivals = []
-    link.on_deliver = lambda p, at_ns: arrivals.append(p.seq)
+    link.connect(0, lambda p, at_ns: arrivals.append(p.seq), 1500)
     for i in range(5):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -89,7 +91,7 @@ def test_dropped_packet_is_never_delivered():
 def test_queue_drains_and_link_goes_idle():
     sim = Simulator()
     link = make_link(sim)
-    link.on_deliver = lambda p, at_ns: None
+    link.connect(0, lambda p, at_ns: None, 1500)
     for i in range(4):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -119,7 +121,7 @@ def test_return_path_starts_at_the_data_arrival():
 def test_return_path_never_contends_with_forward_traffic():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
-    link.on_deliver = lambda p, at_ns: None
+    link.connect(0, lambda p, at_ns: None, 1500)
     for i in range(3):  # keep the forward link busy
         link.enqueue(pkt(i))
     arrivals = []

@@ -28,7 +28,7 @@ def make_flow(controller=None, capacity=10e6, delay=0.025, buffer_pkts=100):
     link = BottleneckLink(sim, capacity, delay, buffer_pkts)
     f = FlowEndpoint(sim, link, flow_id=0,
                      controller=controller or RenoController())
-    link.on_deliver = f.on_data_arrival
+    link.connect(0, f.on_data_arrival, f.pkt_size)
     return sim, link, f
 
 
@@ -125,10 +125,10 @@ def test_ack_beyond_highest_sent_faults():
 def test_receiver_reorders_out_of_order_arrivals():
     sim, link, f = make_flow()
     f.in_network = 3
-    f.on_data_arrival(Packet(0, 1, 1500, 0.0), 0)
+    f.on_data_arrival(Packet(0, 1, 0.0), 0)
     assert f.rx_next == 0 and not f.window_bytes
-    f.on_data_arrival(Packet(0, 2, 1500, 0.0), 0)
-    f.on_data_arrival(Packet(0, 0, 1500, 0.0), 0)
+    f.on_data_arrival(Packet(0, 2, 0.0), 0)
+    f.on_data_arrival(Packet(0, 0, 0.0), 0)
     # the hole fills and the cumulative ack jumps over the buffered packets
     assert f.rx_next == 3
     assert sum(f.window_bytes.values()) == 3 * 1500
@@ -168,7 +168,10 @@ def test_rto_estimator_matches_rfc6298():
     sim, link, f = make_flow()
     srtt = rttvar = None
     for rtt in (0.052, 0.055, 0.049, 0.120, 0.051):
-        f._update_rto_estimator(rtt)
+        # nothing is in flight, so ack 0 only feeds the estimator an RTT
+        # sample: sim.now is 0 and the echoed send time is -rtt
+        f.on_ack_arrival(0, 0.0, -rtt)
+        assert (f.snd_una, f.dupacks, f.packets_sent) == (0, 0, 0)
         if srtt is None:
             srtt, rttvar = rtt, rtt / 2.0
         else:
