@@ -6,6 +6,12 @@ on_ack(flow, rtt, owd) for every new cumulative ack, with the RTT and
 one-way-delay samples of the acked data packet, and on_loss() when a loss
 is detected. Controllers mutate flow.cwnd (and flow.ssthresh where
 relevant); the endpoint owns retransmission, timers and window clocking.
+
+on_ack runs on every ack, so the LP, LEDBAT and NICE filters are written
+out inline there, with the same float operations and with comparisons in
+place of min() and max(). The functions lp_update_delay,
+lp_early_congestion, ledbat_offset and NiceController.mark_threshold stay as
+the references those methods are tested against.
 """
 
 import math
@@ -40,10 +46,12 @@ class SlidingExtrema:
             last = buckets[-1]
             if v < last[1]:
                 last[1] = v
-                self.min = min(self.min, v)
+                if v < self.min:
+                    self.min = v
             elif v > last[2]:
                 last[2] = v
-                self.max = max(self.max, v)
+                if v > self.max:
+                    self.max = v
         else:  # a bucket opens and old ones may leave: rescan
             buckets.append([k, v, v])
             while buckets[0][0] <= k - self.n_buckets:
@@ -87,7 +95,8 @@ class RenoController(Controller):
 
 def lp_update_delay(d_ewma, d_min, d_max, d, alpha):
     """One EWMA step over the one-way delay plus running extrema.
-    First sample initializes the average."""
+    First sample initializes the average. LpController.on_ack does the same
+    inline; this is the reference it is tested against."""
     if d_ewma is None:
         d_ewma = d
     else:
@@ -96,7 +105,8 @@ def lp_update_delay(d_ewma, d_min, d_max, d, alpha):
 
 
 def lp_early_congestion(d_ewma, d_min, d_max, delta):
-    """Delay-threshold early congestion test (strict inequality)."""
+    """Delay-threshold early congestion test (strict inequality); the
+    reference for the inline test in LpController.on_ack."""
     return d_ewma > d_min + (d_max - d_min) * delta
 
 
@@ -130,9 +140,21 @@ class LpController(Controller):
         self._inference_handle = None
 
     def on_ack(self, flow, rtt, owd):
-        self.d_ewma, self.d_min, self.d_max = lp_update_delay(
-            self.d_ewma, self.d_min, self.d_max, owd, self.alpha)
-        level = lp_early_congestion(self.d_ewma, self.d_min, self.d_max, self.delta)
+        # lp_update_delay and lp_early_congestion, inline: the same float
+        # operations, with min/max as the comparisons they make
+        d_ewma = self.d_ewma
+        if d_ewma is None:
+            d_ewma = owd
+        else:
+            d_ewma = (1.0 - self.alpha) * d_ewma + self.alpha * owd
+        self.d_ewma = d_ewma
+        d_min = self.d_min
+        if owd < d_min:
+            d_min = self.d_min = owd
+        d_max = self.d_max
+        if owd > d_max:
+            d_max = self.d_max = owd
+        level = d_ewma > d_min + (d_max - d_min) * self.delta
         indication = level and self.armed
         self.armed = not level
         if self.phase == "inference":
@@ -227,15 +249,18 @@ class NiceController(Controller):
         self.in_slow_start = True
 
     def mark_threshold(self):
+        """Delay above which an ack is marked; on_ack computes it inline."""
         return self.rtt_min + (self.rtt_max - self.rtt_min) * self.delta
 
     def on_ack(self, flow, rtt, owd):
-        self._window.add(flow.sim.now, rtt)
-        self.base_rtt = min(self.base_rtt, rtt)
-        self.rtt_min = self._window.min
-        self.rtt_max = self._window.max
+        window = self._window
+        window.add(flow.sim.now, rtt)
+        if rtt < self.base_rtt:
+            self.base_rtt = rtt
+        rtt_min = self.rtt_min = window.min
+        rtt_max = self.rtt_max = window.max
         self.total += 1
-        marked = rtt > self.mark_threshold()
+        marked = rtt > rtt_min + (rtt_max - rtt_min) * self.delta  # mark_threshold
         if marked:
             self.marked += 1
         if self.in_slow_start:
@@ -276,7 +301,8 @@ class NiceController(Controller):
 
 
 def ledbat_offset(tau, d, d_min):
-    """Distance from the target queuing delay: tau - (d - d_min)."""
+    """Distance from the target queuing delay: tau - (d - d_min); the
+    reference for the inline offset in LedbatController.on_ack."""
     return tau - (d - d_min)
 
 
@@ -293,8 +319,10 @@ class LedbatController(Controller):
         self.in_slow_start = slow_start
 
     def on_ack(self, flow, rtt, owd):
-        self.d_min = min(self.d_min, owd)
-        off = ledbat_offset(self.tau, owd, self.d_min)
+        d_min = self.d_min
+        if owd < d_min:
+            d_min = self.d_min = owd
+        off = self.tau - (owd - d_min)  # ledbat_offset
         if self.in_slow_start and off > 0 and flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
             return
@@ -304,8 +332,12 @@ class LedbatController(Controller):
         # cap binds only at G > 1. There it keeps flows of unequal gains
         # fair: without it fig3_gain_ratio's f_lt falls to 0.862 at gain
         # ratio 2 and 0.943 at 5, below ACCEPTANCE 05's 0.95.
-        step = min(self.gamma * off, 1.0)
-        flow.cwnd = max(flow.cwnd + step / flow.cwnd, 1.0)
+        step = self.gamma * off
+        if step > 1.0:
+            step = 1.0
+        cwnd = flow.cwnd
+        cwnd += step / cwnd
+        flow.cwnd = 1.0 if cwnd < 1.0 else cwnd
 
     def on_loss(self, flow, kind):
         if kind == "dupack":

@@ -7,7 +7,7 @@ identical schedules produce identical event sequences.
 """
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 NS_PER_S = 1_000_000_000
 
@@ -145,17 +145,21 @@ class Simulator:
         heap = self._heap
         trace = self.trace
         processed = self._processed  # kept local; written back on leaving
-        while heap and heap[0][0] <= t_end_ns:
-            at_ns, seq, ev = heappop(heap)
+        while heap:
+            at_ns, seq, ev = heap[0]
+            if at_ns > t_end_ns:
+                break
             if ev[1] != seq:
                 seq = ev[1]
                 if seq == RELAYED:  # take the key a schedule made now gets
                     seq = ev[1] = self._seq
                     self._seq = seq + 1
                 elif seq < 0:
+                    heappop(heap)
                     continue
-                heappush(heap, (ev[0], seq, ev))  # moved later or relayed
+                heapreplace(heap, (ev[0], seq, ev))  # moved later or relayed
                 continue
+            heappop(heap)
             ev[1] = SPENT
             self.now_ns = at_ns
             self.now = at_ns / NS_PER_S

@@ -63,6 +63,15 @@ class ScenarioConfig:
             if not (_finite(value) and value > 0):
                 raise ConfigError("%s must be finite and positive, got %r"
                                   % (name, value), key=name)
+        for name in ("buffer_pkts", "pkt_size_bytes"):  # counts
+            value = getattr(self, name)
+            if value != int(value):
+                raise ConfigError("%s must be a whole number, got %r"
+                                  % (name, value), key=name)
+        if not (isinstance(self.flows, (list, tuple))
+                and all(isinstance(fc, FlowConfig) for fc in self.flows)):
+            raise ConfigError("flows must be a list of flow configs, got %r"
+                              % (self.flows,), key="flows")
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
         for i, fc in enumerate(self.flows):
@@ -424,7 +433,14 @@ def _flow(protocol):
 
 def expand_experiment(experiment_id, protocol=None):
     """Expand a figure id into a fully determined SweepSpec. Expansion is
-    pure: the same id always yields the same spec."""
+    pure: the same id always yields the same spec. fig4 and fig6 need a
+    protocol, fig5 takes "reno" for its all-Reno baseline, and the other
+    figures take none."""
+    if (protocol is not None and experiment_id in EXPERIMENT_IDS
+            and experiment_id not in ("fig4", "fig6")
+            and (experiment_id, protocol) != ("fig5", "reno")):
+        raise ConfigError("%s does not take --protocol %s (fig4 and fig6 need "
+                          "one, fig5 takes only reno)" % (experiment_id, protocol))
     base = ScenarioConfig()
     if experiment_id == "fig1":
         values, labels = [], []

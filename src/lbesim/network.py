@@ -1,25 +1,22 @@
 """Dumbbell data path: one bottleneck link with a drop-tail FIFO buffer on
 the forward direction, and a delay-only return path for acks.
 
+A data packet is a plain tuple (flow_id, seq, sent_at): the flow it
+belongs to, its sequence number and its send time in seconds. Its size is
+its flow's (see BottleneckLink.connect).
+
 The transmitting packet does not occupy a buffer slot; the queue holds only
 waiting packets. Acks are never queued or dropped: the reverse direction is
 modeled as pure delay, so all congestion lives in the forward buffer.
+
+The link's event handler, _tx_done, is bound once, when the link is built,
+and that bound method is what every TransmissionComplete event calls;
+FlowEndpoint does the same with its ack and RTO handlers.
 """
 
 from collections import deque
 
 from . import engine
-
-
-class Packet:
-    """A data packet; its size is its flow's (see BottleneckLink.connect)."""
-
-    __slots__ = ("flow_id", "seq", "sent_at")
-
-    def __init__(self, flow_id, seq, sent_at):
-        self.flow_id = flow_id
-        self.seq = seq
-        self.sent_at = sent_at
 
 
 class BottleneckLink:
@@ -50,6 +47,7 @@ class BottleneckLink:
         self._prop_ns = engine.to_ns(self.prop_delay_s)
         # flow id -> (receive, serialization ns, event label); see connect
         self._routes = {}
+        self._tx_done_handler = self._tx_done  # bound once
 
     def serialization_s(self, size_bytes):
         return size_bytes * 8.0 / self.capacity_bps
@@ -75,10 +73,10 @@ class BottleneckLink:
         self.total_enqueued += 1
         if self.in_service is None:  # an idle link has an empty buffer
             self.in_service = p
-            _, tx_ns, label = self._routes[p.flow_id]
+            _, tx_ns, label = self._routes[p[0]]
             sim = self.sim
             sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
-                               self._tx_done, label)
+                               self._tx_done_handler, label)
         else:
             queue.append(p)
         return True
@@ -89,12 +87,12 @@ class BottleneckLink:
         sim = self.sim
         p = self.in_service
         routes = self._routes
-        routes[p.flow_id][0](p, sim.now_ns + self._prop_ns)
+        routes[p[0]][0](p, sim.now_ns + self._prop_ns)
         if self.queue:
             p = self.in_service = self.queue.popleft()
-            _, tx_ns, label = routes[p.flow_id]
+            _, tx_ns, label = routes[p[0]]
             sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
-                               self._tx_done, label)
+                               self._tx_done_handler, label)
         else:
             self.in_service = None
 

@@ -13,7 +13,7 @@ from collections import defaultdict, deque
 
 from . import engine
 from .metrics import WINDOW_S
-from .network import Packet, return_path_send
+from .network import return_path_send
 
 MIN_RTO = 0.2
 INITIAL_RTO = 1.0
@@ -42,6 +42,9 @@ class FlowEndpoint:
         self._return_ns = engine.to_ns(return_delay_s)
         self.label = "flow%s" % flow_id
         self._ack_label = "ack-flow%s" % flow_id
+        # event handlers, bound once rather than at every schedule
+        self._ack_handler = self._ack_arrive
+        self._rto_handler = self._on_rto
 
         self.cwnd = 1.0
         self.ssthresh = INITIAL_SSTHRESH
@@ -114,9 +117,8 @@ class FlowEndpoint:
         return sent
 
     def _emit(self, seq):
-        p = Packet(self.flow_id, seq, self.sim.now)
         self.packets_sent += 1
-        if self.link.enqueue(p):
+        if self.link.enqueue((self.flow_id, seq, self.sim.now)):
             self.in_network += 1
         else:
             self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
@@ -145,29 +147,31 @@ class FlowEndpoint:
     # -- receiver side ---------------------------------------------------
 
     def on_data_arrival(self, p, at_ns):
-        """Receiver: accept a data packet that arrives at at_ns and ack it at
-        once, echoing the sender timestamp and the measured one-way delay.
-        The link calls this when the packet finishes serializing, before
-        at_ns; the ack still leaves at at_ns (see return_path_send)."""
+        """Receiver: accept a data packet (flow_id, seq, sent_at) that
+        arrives at at_ns and ack it at once, echoing the sender timestamp
+        and the measured one-way delay. The link calls this when the packet
+        finishes serializing, before at_ns; the ack still leaves at at_ns
+        (see return_path_send)."""
         if at_ns > self.horizon_ns:
             return
+        _, seq, sent_at = p
         self.delivered_pkts += 1
         self.in_network -= 1
         advanced = 0
-        if p.seq == self.rx_next:
+        if seq == self.rx_next:
             self.rx_next += 1
             advanced = 1
             while self.rx_next in self.rx_ooo:
                 self.rx_ooo.discard(self.rx_next)
                 self.rx_next += 1
                 advanced += 1
-        elif p.seq > self.rx_next:
-            self.rx_ooo.add(p.seq)
+        elif seq > self.rx_next:
+            self.rx_ooo.add(seq)
         now = at_ns / engine.NS_PER_S
         if advanced:
             self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
-        self._acks.append((self.rx_next, now - p.sent_at, p.sent_at))
-        return_path_send(self.sim, at_ns, self._return_ns, self._ack_arrive,
+        self._acks.append((self.rx_next, now - sent_at, sent_at))
+        return_path_send(self.sim, at_ns, self._return_ns, self._ack_handler,
                          self._ack_label)
 
     def _ack_arrive(self):
@@ -183,11 +187,13 @@ class FlowEndpoint:
                 "flow %s acked seq %d beyond highest sent %d"
                 % (self.flow_id, ack_no, self.snd_next))
         rtt = self.sim.now - echo_sent_at
-        if self.srtt is None:  # RFC 6298 estimator
+        srtt = self.srtt
+        if srtt is None:  # RFC 6298 estimator
             self.srtt, self.rttvar = rtt, rtt / 2.0
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+            err = srtt - rtt if srtt > rtt else rtt - srtt  # abs(srtt - rtt)
+            self.rttvar = 0.75 * self.rttvar + 0.25 * err
+            self.srtt = 0.875 * srtt + 0.125 * rtt
         rto = self.srtt + 4.0 * self.rttvar
         self.rto = rto if rto > MIN_RTO else MIN_RTO
         if ack_no > self.snd_una:
@@ -232,8 +238,8 @@ class FlowEndpoint:
         sim = self.sim
         self._rto_timer = sim.reschedule(
             self._rto_timer,
-            sim.now_ns + int(round(self.rto * self.rto_backoff * engine.NS_PER_S)),
-            engine.RTO_TIMER, self._on_rto, self.label)
+            sim.now_ns + round(self.rto * self.rto_backoff * engine.NS_PER_S),
+            engine.RTO_TIMER, self._rto_handler, self.label)
 
     def _on_rto(self):
         self._rto_timer = None

@@ -20,12 +20,12 @@ class ThreeEventLink(network.BottleneckLink):
 
     def _tx_done(self):
         p, sim = self.in_service, self.sim
-        deliver = self._routes[p.flow_id][0]
+        deliver = self._routes[p[0]][0]
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
-                           lambda: deliver(p, sim.now_ns), "flow%s" % p.flow_id)
+                           lambda: deliver(p, sim.now_ns), "flow%s" % p[0])
         if self.queue:
             nxt = self.in_service = self.queue.popleft()
-            _, tx_ns, label = self._routes[nxt.flow_id]
+            _, tx_ns, label = self._routes[nxt[0]]
             sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
                                self._tx_done, label)
         else:

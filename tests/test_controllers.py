@@ -394,6 +394,143 @@ def test_ledbat_optional_slow_start_stops_at_target():
     assert not ctl.in_slow_start
 
 
+# -- inline filters against their reference helpers ---------------------
+
+class HelperLp(LpController):
+    """on_ack as a fold over lp_update_delay and lp_early_congestion."""
+
+    def on_ack(self, flow, rtt, owd):
+        self.d_ewma, self.d_min, self.d_max = lp_update_delay(
+            self.d_ewma, self.d_min, self.d_max, owd, self.alpha)
+        level = lp_early_congestion(self.d_ewma, self.d_min, self.d_max,
+                                    self.delta)
+        indication = level and self.armed
+        self.armed = not level
+        if self.phase == "inference":
+            if indication:
+                self._collapse(flow)
+            return
+        if indication:
+            self._react(flow, rtt)
+        elif flow.cwnd < flow.ssthresh:
+            flow.cwnd += 1.0
+        else:
+            flow.cwnd += 1.0 / flow.cwnd
+
+
+class HelperLedbat(LedbatController):
+    """on_ack as a fold over ledbat_offset, min and max."""
+
+    def on_ack(self, flow, rtt, owd):
+        self.d_min = min(self.d_min, owd)
+        off = ledbat_offset(self.tau, owd, self.d_min)
+        if self.in_slow_start and off > 0 and flow.cwnd < flow.ssthresh:
+            flow.cwnd += 1.0
+            return
+        self.in_slow_start = False
+        step = min(self.gamma * off, 1.0)
+        flow.cwnd = max(flow.cwnd + step / flow.cwnd, 1.0)
+
+
+class HelperNice(NiceController):
+    """on_ack as a fold over mark_threshold, min and max."""
+
+    def on_ack(self, flow, rtt, owd):
+        self._window.add(flow.sim.now, rtt)
+        self.base_rtt = min(self.base_rtt, rtt)
+        self.rtt_min = self._window.min
+        self.rtt_max = self._window.max
+        self.total += 1
+        marked = rtt > self.mark_threshold()
+        if marked:
+            self.marked += 1
+        if self.in_slow_start:
+            if marked:
+                self.in_slow_start = False
+            else:
+                flow.cwnd += 1.0
+        if self._epoch_end_seq is None:
+            self._epoch_end_seq = flow.snd_next - 1
+        elif flow.snd_una > self._epoch_end_seq:
+            self._close_epoch(flow, rtt)
+
+
+def controller_state(ctl, flow):
+    """Everything on_ack may change, as a tuple; a pending timer counts by
+    its key, the NICE window by its buckets and extrema."""
+    state = dict(vars(ctl))
+    handle = state.pop("_inference_handle", None)
+    window = state.pop("_window", None)
+    return (sorted(state.items()),
+            None if handle is None else (handle[0], handle[1]),
+            None if window is None else
+            ([tuple(b) for b in window._buckets], window.min, window.max),
+            flow.cwnd, flow.ssthresh)
+
+
+# Delays from a small set make ties (a delay equal to a kept extremum, a
+# smoothed delay equal to its threshold) and signed zeros likely.
+_delays = st.one_of(st.sampled_from([0.0, -0.0, 0.01, 0.025, 0.05, 0.1]),
+                    st.floats(0.0, 0.5))
+
+
+@st.composite
+def ack_runs(draw):
+    """A protocol, controller parameters, and a run of (time step, owd,
+    return delay, seq advance, event) steps, the event an ack or, now and
+    then, a loss."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    proto = pick("lp", "ledbat", "nice")
+    if proto == "lp":
+        params = dict(alpha=pick(0.125, 0.5, 1.0), delta=pick(0.0, 0.15, 1.0),
+                      inference_rtts=pick(0.5, 3.0))
+    elif proto == "ledbat":
+        params = dict(tau=pick(0.005, 0.025, 0.1), gamma=pick(10.0, 40.0, 400.0),
+                      slow_start=pick(False, True))
+    else:
+        params = dict(delta=pick(0.0, 0.2, 1.0), phi=pick(0.0, 0.5),
+                      history_s=pick(0.5, 10.0))
+    returns = st.one_of(st.sampled_from([0.01, 0.025]), st.floats(1e-3, 0.5))
+    event = st.sampled_from(["ack"] * 8 + ["dupack", "timeout"])
+    steps = draw(st.lists(st.tuples(st.sampled_from([0.0, 0.01, 0.3]), _delays,
+                                    returns, st.integers(0, 3), event),
+                          min_size=1, max_size=60))
+    return proto, params, steps
+
+
+_HELPER_CLASSES = {"lp": (LpController, HelperLp),
+                   "ledbat": (LedbatController, HelperLedbat),
+                   "nice": (NiceController, HelperNice)}
+
+
+@example(("lp", {}, [(0.0, 0.0, 0.01, 1, "ack"), (0.0, -0.0, 0.01, 1, "ack")]))
+@example(("ledbat", {}, [(0.0, -0.0, 0.01, 1, "ack"), (0.0, 0.0, 0.01, 1, "ack")]))
+@example(("nice", {}, [(0.0, 0.03, 0.02, 1, "ack")] * 3))
+@given(ack_runs())
+def test_inline_on_ack_equals_fold_over_helpers(run):
+    proto, params, steps = run
+    sides = [(cls(**params), StubFlow(cwnd=1.0, ssthresh=2.0 ** 30))
+             for cls in _HELPER_CLASSES[proto]]
+    t = 0.0
+    for dt, owd, ret, advance, event in steps:
+        t += dt
+        for ctl, flow in sides:
+            flow.sim.run_until(t)
+            if event == "ack":
+                # the endpoint moves snd_una before it calls on_ack
+                flow.snd_una += 1
+                flow.snd_next = flow.snd_una + advance
+                ctl.on_ack(flow, owd + ret, owd)
+            else:
+                ctl.on_loss(flow, event)
+        got, want = (controller_state(ctl, flow) for ctl, flow in sides)
+        assert got == want
+        # == cannot tell 0.0 from -0.0; the repr can
+        assert repr(got) == repr(want)
+
+
 # -- gain/target coordinates ---------------------------------------------
 
 def test_buffer_delay_for_default_bottleneck():

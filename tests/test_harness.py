@@ -122,6 +122,25 @@ def test_any_document_loads_or_raises_config_error(pairs):
     assert cfg.flows
 
 
+@pytest.mark.parametrize("field, value", [
+    ("buffer_pkts", 2.5), ("pkt_size_bytes", 1500.5)])
+def test_validate_rejects_fractional_counts(field, value):
+    # the link would truncate them while the metrics divide by the raw value
+    cfg = ScenarioConfig(flows=[FlowConfig("reno")], **{field: value})
+    with pytest.raises(ConfigError, match="whole number") as err:
+        cfg.validate()
+    assert err.value.key == field
+    ScenarioConfig(flows=[FlowConfig("reno")], **{field: 2.0}).validate()
+
+
+@pytest.mark.parametrize("flows", ["reno", ["reno"], None],
+                         ids=["string", "list-of-strings", "none"])
+def test_validate_rejects_flows_that_are_not_flow_configs(flows):
+    with pytest.raises(ConfigError, match="flow configs") as err:
+        ScenarioConfig(flows=flows).validate()
+    assert err.value.key == "flows"
+
+
 def test_load_scenario_needs_flows():
     with pytest.raises(ConfigError, match="at least one flow"):
         load_scenario("horizon_s=5\n")
@@ -263,6 +282,22 @@ def test_load_sweep_rejects_bad_input_before_any_run(text, match):
         load_sweep(text)
 
 
+def test_load_sweep_rejects_fractional_buffer_on_values_line():
+    with pytest.raises(ConfigError, match="line 3: buffer_pkts=2.5: .*whole"):
+        load_sweep("horizon_s=1\naxis=buffer_pkts\nvalues=2,2.5\n"
+                   "flows.0.protocol=reno\n")
+
+
+def test_cli_sweep_over_flows_is_a_usage_error(tmp_path, capsys):
+    # a values= line holds scalars, never the flow lists axis=flows needs
+    spec = write(tmp_path, "sweep.cfg", "horizon_s=1\naxis=flows\n"
+                 "values=reno\nflows.0.protocol=reno\n")
+    assert cli.main(["sweep", spec]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: flows='reno'" in err
+    assert "internal error" not in err
+
+
 def test_cli_sweep_bad_value_is_a_usage_error(tmp_path, capsys):
     spec = write(tmp_path, "sweep.cfg", "axis=flows.0.params.tau_ms\n"
                  "values=10,abc\nflows.0.protocol=ledbat\n")
@@ -327,6 +362,21 @@ def test_catalog_rtt_asymmetry():
     assert spec.labels[-1] == "rtt_ratio=10"
     with pytest.raises(ConfigError):
         expand_experiment("fig6")
+
+
+@pytest.mark.parametrize("experiment, protocol", [
+    ("fig1", "lp"), ("fig2_gain", "nice"), ("fig2_target", "reno"),
+    ("fig3_gain_ratio", "ledbat"), ("fig3_target_ratio", "lp"),
+    ("fig5", "lp"), ("fig5", "nice"), ("fig5", "ledbat")])
+def test_experiment_rejects_a_protocol_it_ignores(experiment, protocol,
+                                                  tmp_path, capsys):
+    with pytest.raises(ConfigError, match="does not take --protocol %s" % protocol):
+        expand_experiment(experiment, protocol=protocol)
+    out = tmp_path / "out"
+    assert cli.main(["experiment", experiment, "--protocol", protocol,
+                     "--out", str(out)]) == 2
+    assert "does not take" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_experiment_id():

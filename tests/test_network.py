@@ -11,7 +11,7 @@ import pytest
 from lbesim.engine import NS_PER_S, Simulator
 from lbesim.harness import (FlowConfig, ScenarioConfig, run_scenario,
                             write_traces)
-from lbesim.network import BottleneckLink, Packet, return_path_send
+from lbesim.network import BottleneckLink, return_path_send
 
 
 def make_link(sim, capacity=10e6, delay=0.025, buffer_pkts=100):
@@ -19,7 +19,7 @@ def make_link(sim, capacity=10e6, delay=0.025, buffer_pkts=100):
 
 
 def pkt(seq, flow=0):
-    return Packet(flow, seq, 0.0)
+    return (flow, seq, 0.0)  # (flow_id, seq, sent_at)
 
 
 def test_serialization_time():
@@ -33,7 +33,7 @@ def test_first_packet_arrives_after_serialization_plus_propagation():
     sim = Simulator()
     link = make_link(sim)
     handed = []
-    link.connect(0, lambda p, at_ns: handed.append((sim.now, at_ns, p.seq)),
+    link.connect(0, lambda p, at_ns: handed.append((sim.now, at_ns, p[1])),
                  1500)
     assert link.enqueue(pkt(0)) is True
     sim.run_until(1.0)
@@ -45,7 +45,7 @@ def test_back_to_back_packets_are_spaced_by_serialization():
     sim = Simulator()
     link = make_link(sim)
     arrivals = []
-    link.connect(0, lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p.seq)),
+    link.connect(0, lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p[1])),
                  1500)
     for i in range(3):
         link.enqueue(pkt(i))
@@ -80,7 +80,7 @@ def test_dropped_packet_is_never_delivered():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
     arrivals = []
-    link.connect(0, lambda p, at_ns: arrivals.append(p.seq), 1500)
+    link.connect(0, lambda p, at_ns: arrivals.append(p[1]), 1500)
     for i in range(5):
         link.enqueue(pkt(i))
     sim.run_until(1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from lbesim.engine import Simulator
 from lbesim.controllers import RenoController
-from lbesim.network import BottleneckLink, Packet
+from lbesim.network import BottleneckLink
 from lbesim.transport import (FlowEndpoint, MIN_RTO, ProtocolFault)
 
 
@@ -125,10 +125,10 @@ def test_ack_beyond_highest_sent_faults():
 def test_receiver_reorders_out_of_order_arrivals():
     sim, link, f = make_flow()
     f.in_network = 3
-    f.on_data_arrival(Packet(0, 1, 0.0), 0)
+    f.on_data_arrival((0, 1, 0.0), 0)
     assert f.rx_next == 0 and not f.window_bytes
-    f.on_data_arrival(Packet(0, 2, 0.0), 0)
-    f.on_data_arrival(Packet(0, 0, 0.0), 0)
+    f.on_data_arrival((0, 2, 0.0), 0)
+    f.on_data_arrival((0, 0, 0.0), 0)
     # the hole fills and the cumulative ack jumps over the buffered packets
     assert f.rx_next == 3
     assert sum(f.window_bytes.values()) == 3 * 1500
