@@ -12,9 +12,11 @@ out inline there, with the same float operations and with comparisons in
 place of min() and max(). The functions lp_update_delay,
 lp_early_congestion, ledbat_offset and NiceController.mark_threshold stay as
 the references those methods are tested against.
+A LEDBAT target given as T_pct is resolved against the buffer delay that
+ScenarioConfig.build_controller passes to make_controller.
 """
 
-import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -390,16 +392,18 @@ def _param(params, name, default, low, high=INF, low_open=True):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParamError(name, "must be a number, got %r" % (value,))
     above_low = low < value if low_open else low <= value
-    if not (math.isfinite(value) and above_low and value <= high):
+    # a float holds it finitely: not NaN, infinite or an int too large
+    if not (abs(value) <= sys.float_info.max and above_low and value <= high):
         raise ParamError(name, "must be in %s%g, %g%s, got %r"
                          % ("(" if low_open else "[", low, high,
                             "]" if high < INF else ")", value))
     return value
 
 
-def make_controller(protocol, params=None):
-    """Build a controller from a protocol tag and a parameter mapping.
-    Parameters of the wrong type or out of range raise ParamError."""
+def make_controller(protocol, params=None, buffer_delay_s=None):
+    """Build a controller from a protocol tag and a parameter mapping; a
+    LEDBAT T_pct is a percentage of buffer_delay_s, the time the full
+    buffer takes to drain. Bad parameters raise ParamError."""
     params = dict(params or {})
     if protocol == "reno":
         if params:
@@ -420,7 +424,7 @@ def make_controller(protocol, params=None):
             increase_rate=_param(params, "increase_rate", 20.0, 0.0, low_open=False),
             **_reject_left(params, "nice"))
     if protocol == "ledbat":
-        return _make_ledbat(params)
+        return _make_ledbat(params, buffer_delay_s)
     raise ValueError("unknown protocol %r" % protocol)
 
 
@@ -430,7 +434,7 @@ def _reject_left(params, proto):
     return {}
 
 
-def _make_ledbat(params):
+def _make_ledbat(params, buffer_delay_s):
     tau_ms = _param(params, "tau_ms", None, 0.0)
     t_pct = _param(params, "T_pct", None, 0.0)
     gamma = _param(params, "gamma", None, 0.0)
@@ -438,16 +442,15 @@ def _make_ledbat(params):
     slow_start = params.pop("slow_start", False)
     if not isinstance(slow_start, bool):
         raise ParamError("slow_start", "must be true or false, got %r" % (slow_start,))
-    scen = params.pop("_scenario", None)  # (capacity_bps, pkt_size, buffer)
     _reject_left(params, "ledbat")
     if tau_ms is not None and t_pct is not None:
         raise ValueError("give ledbat.tau_ms or ledbat.T_pct, not both")
     if gamma is not None and g is not None:
         raise ValueError("give ledbat.gamma or ledbat.G, not both")
     if t_pct is not None:
-        if scen is None:
+        if buffer_delay_s is None:
             raise ValueError("T_pct needs bottleneck parameters")
-        tau = GainTargetCoords(G=1.0, T=t_pct / 100.0).to_params(*scen)[1]
+        tau = t_pct / 100.0 * buffer_delay_s  # as GainTargetCoords.to_params
     else:
         tau = (tau_ms if tau_ms is not None else 25.0) / 1000.0
     if not tau > 0:  # a positive tau_ms can underflow

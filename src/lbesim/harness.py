@@ -7,12 +7,13 @@ Config files are flat, line-oriented key=value documents with dotted paths
 """
 
 import copy
-import math
 import os
-from dataclasses import dataclass, field
+import sys
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 
 from . import engine, metrics
-from .controllers import ParamError, make_controller
+from .controllers import GainTargetCoords, ParamError, make_controller
 from .engine import Simulator
 from .network import BottleneckLink
 from .transport import FlowEndpoint
@@ -35,8 +36,33 @@ class ConfigError(ValueError):
 
 
 def _finite(value):
+    """A number, not a bool, that a float holds finitely (so no huge int)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
+
+
+# kind -> what a field of that kind must hold, in words and as a test
+_KINDS = {
+    "positive": ("finite and positive", lambda v: _finite(v) and v > 0),
+    "count": ("a positive whole number", lambda v: _finite(v) and v > 0 and v == int(v)),
+    "delay": ("finite and non-negative", lambda v: _finite(v) and v >= 0),
+    "protocol": ("one of " + ", ".join(PROTOCOLS), lambda v: v in PROTOCOLS),
+}
+
+# Every scenario field by dotted path, with its kind. N stands for a flow
+# index and <name> for a controller parameter, which make_controller
+# checks. validate, load_scenario and set_param all read this table.
+FIELDS = {
+    "capacity_bps": "positive",
+    "fwd_prop_delay_s": "positive",
+    "buffer_pkts": "count",
+    "pkt_size_bytes": "count",
+    "horizon_s": "positive",
+    "flows.N.protocol": "protocol",
+    "flows.N.start_at": "delay",
+    "flows.N.extra_return_delay_s": "delay",
+    "flows.N.params.<name>": "param",
+}
 
 
 @dataclass
@@ -57,17 +83,9 @@ class ScenarioConfig:
     flows: list = field(default_factory=list)
 
     def validate(self):
-        for name in ("capacity_bps", "fwd_prop_delay_s", "buffer_pkts",
-                     "pkt_size_bytes", "horizon_s"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ConfigError("%s must be finite and positive, got %r"
-                                  % (name, value), key=name)
-        for name in ("buffer_pkts", "pkt_size_bytes"):  # counts
-            value = getattr(self, name)
-            if value != int(value):
-                raise ConfigError("%s must be a whole number, got %r"
-                                  % (name, value), key=name)
+        for path, kind in FIELDS.items():
+            if not path.startswith("flows."):
+                _check(path, kind, getattr(self, path))
         if not (isinstance(self.flows, (list, tuple))
                 and all(isinstance(fc, FlowConfig) for fc in self.flows)):
             raise ConfigError("flows must be a list of flow configs, got %r"
@@ -75,15 +93,10 @@ class ScenarioConfig:
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
         for i, fc in enumerate(self.flows):
-            if fc.protocol not in PROTOCOLS:
-                raise ConfigError("flows.%d.protocol: unknown protocol %r"
-                                  % (i, fc.protocol), key="flows.%d.protocol" % i)
-            for name in ("extra_return_delay_s", "start_at"):
-                value = getattr(fc, name)
-                if not (_finite(value) and value >= 0):
-                    raise ConfigError("flows.%d.%s: delays must be finite and "
-                                      "non-negative, got %r" % (i, name, value),
-                                      key="flows.%d.%s" % (i, name))
+            for path, kind in FIELDS.items():
+                if path.startswith("flows.N.") and kind != "param":
+                    name = path[len("flows.N."):]
+                    _check("flows.%d.%s" % (i, name), kind, getattr(fc, name))
             if fc.start_at >= self.horizon_s:
                 raise ConfigError("flows.%d.start_at: %g is not before the "
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
@@ -98,25 +111,57 @@ class ScenarioConfig:
         return self
 
     def build_controller(self, fc):
-        params = dict(fc.params)
-        if fc.protocol == "ledbat" and "T_pct" in params:
-            params["_scenario"] = (self.capacity_bps, self.pkt_size_bytes,
-                                   self.buffer_pkts)
-        return make_controller(fc.protocol, params)
+        """Flow fc's controller; a T_pct is a share of this buffer's delay."""
+        return make_controller(fc.protocol, fc.params, GainTargetCoords.buffer_delay_s(
+            self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts))
+
+
+def _check(path, kind, value):
+    need, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError("%s must be %s, got %r" % (path, need, value), key=path)
+
+
+def _field(path):
+    """Resolve a dotted field path to (kind, flow index or None, field or
+    parameter name); ConfigError if the path names no field."""
+    parts = path.split(".")
+    if len(parts) == 1 and path in FIELDS:
+        return FIELDS[path], None, path
+    if len(parts) > 2 and parts[0] == "flows":
+        try:
+            idx = int(parts[1])
+        except ValueError:
+            idx = -1
+        rest = ("params.<name>" if parts[2] == "params" and len(parts) == 4
+                else ".".join(parts[2:]))
+        if idx >= 0 and "flows.N." + rest in FIELDS:
+            return FIELDS["flows.N." + rest], idx, parts[-1]
+    raise ConfigError("%r names no scenario field" % path)
+
+
+def _assign(cfg, path, value, convert=None):
+    """Set the field that dotted `path` names to value, or to
+    convert(kind, value), in place; return the path with the flow index in
+    plain decimal. ConfigError if no field or flow of cfg has that path."""
+    kind, idx, name = _field(path)
+    if convert is not None:
+        value = convert(kind, value)
+    if idx is None:
+        setattr(cfg, name, value)
+        return path
+    try:
+        fc = cfg.flows[idx]
+    except IndexError:
+        raise ConfigError("%r: the scenario has no flow %d" % (path, idx)) from None
+    if kind == "param":
+        fc.params[name] = value
+    else:
+        setattr(fc, name, value)
+    return "flows.%d.%s" % (idx, path.split(".", 2)[2])
 
 
 # -- config text grammar -------------------------------------------------
-
-# key -> True for a count, False for a real number
-_TOP_KEYS = {
-    "capacity_bps": False,
-    "fwd_prop_delay_ms": False,
-    "buffer_pkts": True,
-    "pkt_size_bytes": True,
-    "horizon_s": False,
-}
-_FLOW_KEYS = ("protocol", "start_at", "extra_return_delay_ms")
-
 
 def _parse_value(text):
     t = text.strip()
@@ -130,12 +175,17 @@ def _parse_value(text):
     return t
 
 
-def _number(val, count=False):
-    """A parsed value as a number; ValueError for text or a bool, and for a
+def _from_text(kind, val):
+    """A value parsed from config text as a field of `kind` holds it;
+    ValueError for text or a bool where a number belongs and for a
     fractional count, rather than a silent coercion."""
+    if kind == "param":
+        return val
+    if kind == "protocol":
+        return str(val)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValueError("expected a number, got %r" % (val,))
-    if count:
+    if kind == "count":
         if isinstance(val, float) and not val.is_integer():
             raise ValueError("expected a whole number, got %r" % (val,))
         return int(val)
@@ -152,10 +202,12 @@ def _line_of(key, lines):
 
 
 def load_scenario(text):
-    """Parse and validate a key=value scenario document. Unknown keys are
+    """Parse and validate a key=value scenario document. Each key is a field
+    path, except that the text gives the two delays in ms. Unknown keys are
     rejected; errors carry the offending line number or field name."""
-    cfg = ScenarioConfig()
-    flows = {}
+    ms_names = {"fwd_prop_delay_ms": "fwd_prop_delay_s",
+                "extra_return_delay_ms": "extra_return_delay_s"}
+    cfg = ScenarioConfig(flows=defaultdict(lambda: FlowConfig(protocol="reno")))
     lines = {}  # config field -> line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -165,44 +217,24 @@ def load_scenario(text):
             raise ConfigError("line %d: expected key=value, got %r" % (lineno, raw))
         key, _, val = line.partition("=")
         key = key.strip()
-        val = _parse_value(val)
-        parts = key.split(".")
-        try:
-            if parts[0] in _TOP_KEYS and len(parts) == 1:
-                field = key
-                val = _number(val, _TOP_KEYS[key])
-                if key == "fwd_prop_delay_ms":
-                    field = "fwd_prop_delay_s"
-                    val = val / 1000.0
-                setattr(cfg, field, val)
-            elif parts[0] == "flows" and len(parts) >= 3:
-                idx = int(parts[1])
-                fc = flows.setdefault(idx, FlowConfig(protocol="reno"))
-                field = "flows.%d.%s" % (idx, ".".join(parts[2:]))
-                if parts[2] == "params" and len(parts) == 4:
-                    fc.params[parts[3]] = val
-                elif parts[2] in _FLOW_KEYS and len(parts) == 3:
-                    if parts[2] == "extra_return_delay_ms":
-                        field = "flows.%d.extra_return_delay_s" % idx
-                        fc.extra_return_delay_s = _number(val) / 1000.0
-                    elif parts[2] == "start_at":
-                        fc.start_at = _number(val)
-                    else:
-                        fc.protocol = str(val)
-                else:
-                    raise ConfigError("line %d: unknown key %r" % (lineno, key))
-            else:
+        path, convert = key, _from_text
+        head, dot, name = key.rpartition(".")
+        if not head.endswith(".params"):  # a field: text gives its delays in ms
+            if name in ms_names.values():
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            if name in ms_names:
+                path = head + dot + ms_names[name]
+                convert = lambda kind, v: _from_text(kind, v) / 1000.0
+        try:
+            lines[_assign(cfg, path, _parse_value(val), convert)] = lineno
+        except ConfigError:
+            raise ConfigError("line %d: unknown key %r" % (lineno, key)) from None
+        except (OverflowError, ValueError) as exc:  # an int too large for a float
             raise ConfigError("line %d: bad value for %r: %s" % (lineno, key, exc))
-        lines[field] = lineno
-    if flows:
-        indices = sorted(flows)
-        if indices != list(range(len(indices))):
-            raise ConfigError("flow indices must be contiguous from 0")
-        cfg.flows = [flows[i] for i in indices]
+    indices = sorted(cfg.flows)
+    if indices != list(range(len(indices))):
+        raise ConfigError("flow indices must be contiguous from 0")
+    cfg.flows = [cfg.flows[i] for i in indices]
     try:
         return cfg.validate()
     except ConfigError as exc:
@@ -213,24 +245,9 @@ def load_scenario(text):
 
 
 def set_param(cfg, path, value):
-    """Set one dotted-path parameter on a copy of the config."""
+    """Set one field, named by its dotted path, on a copy of the config."""
     cfg = copy.deepcopy(cfg)
-    parts = path.split(".")
-    if parts[0] == "flows" and len(parts) >= 3:
-        try:
-            fc = cfg.flows[int(parts[1])]
-        except (ValueError, IndexError):
-            raise ConfigError("no such flow in axis path %r" % path)
-        if parts[2] == "params" and len(parts) == 4:
-            fc.params[parts[3]] = value
-        elif parts[2] in ("protocol", "start_at", "extra_return_delay_s"):
-            setattr(fc, parts[2], value)
-        else:
-            raise ConfigError("axis path %r does not resolve" % path)
-    elif len(parts) == 1 and hasattr(cfg, parts[0]) and parts[0] != "flows":
-        setattr(cfg, parts[0], value)
-    else:
-        raise ConfigError("axis path %r does not resolve" % path)
+    _assign(cfg, path, value)
     return cfg
 
 
@@ -313,7 +330,7 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
 @dataclass
 class SweepSpec:
     base: ScenarioConfig
-    axis: str                  # dotted parameter path, or "flows"
+    axis: str                  # a field path (see FIELDS), or "flows"
     values: list               # axis values; flow-config lists for "flows"
     repeat: int = 1
     labels: list = None        # optional per-value labels for reports
@@ -321,9 +338,7 @@ class SweepSpec:
 
     def point_config(self, value):
         if self.axis == "flows":
-            cfg = copy.deepcopy(self.base)
-            cfg.flows = copy.deepcopy(value)
-            return cfg
+            return replace(self.base, flows=copy.deepcopy(value))
         return set_param(self.base, self.axis, value)
 
 
@@ -339,23 +354,22 @@ def run_sweep(spec, scenario_prefix="sweep", event_log=None):
     if spec.labels is not None and len(spec.labels) != len(spec.values):
         raise ConfigError("labels/values length mismatch")
     labels = spec.labels or [_axis_label(spec.axis, v) for v in spec.values]
+    configs = []
     for value, label in zip(spec.values, labels):
         try:
-            spec.point_config(value).validate()
+            configs.append(spec.point_config(value).validate())
         except ConfigError as exc:
             raise ConfigError("sweep point %s: %s" % (label, exc), key=exc.key) from exc
     points = []
-    for value, label in zip(spec.values, labels):
+    for cfg, value, label in zip(configs, spec.values, labels):
         for rep in range(spec.repeat):
             sid = "%s:%s" % (scenario_prefix, label)
             if spec.repeat > 1:
                 sid += ":rep%d" % rep
             try:
                 result = run_scenario(
-                    spec.point_config(value), traces=spec.traces,
-                    scenario_id=sid,
-                    extra_params={"axis": spec.axis if spec.axis != "flows" else "flows",
-                                  "value": label},
+                    cfg, traces=spec.traces, scenario_id=sid,
+                    extra_params={"axis": spec.axis, "value": label},
                     event_log=event_log)
             except Exception as exc:
                 raise RuntimeError("sweep point %s failed: %r" % (label, exc)) from exc
@@ -399,7 +413,7 @@ def load_sweep(text):
             values_line = lineno
         else:
             try:
-                repeat = _number(_parse_value(val), count=True)
+                repeat = _from_text("count", _parse_value(val))
             except ValueError as exc:
                 raise ConfigError("line %d: bad value for 'repeat': %s" % (lineno, exc))
             if repeat < 1:
@@ -419,15 +433,9 @@ def load_sweep(text):
 
 # -- experiment catalog --------------------------------------------------
 
-def _ledbat(tau_ms=25.0, **extra):
-    params = {"tau_ms": tau_ms, "G": 1.0}
-    params.update(extra)
-    return FlowConfig("ledbat", params)
-
-
 def _flow(protocol):
     if protocol == "ledbat":
-        return _ledbat()
+        return FlowConfig("ledbat", {"tau_ms": 25.0, "G": 1.0})
     return FlowConfig(protocol)
 
 
@@ -441,6 +449,8 @@ def expand_experiment(experiment_id, protocol=None):
             and (experiment_id, protocol) != ("fig5", "reno")):
         raise ConfigError("%s does not take --protocol %s (fig4 and fig6 need "
                           "one, fig5 takes only reno)" % (experiment_id, protocol))
+    if experiment_id in ("fig4", "fig6") and protocol not in PROTOCOLS:
+        raise ConfigError("%s needs --protocol (lp|nice|ledbat|reno)" % experiment_id)
     base = ScenarioConfig()
     if experiment_id == "fig1":
         values, labels = [], []
@@ -451,7 +461,7 @@ def expand_experiment(experiment_id, protocol=None):
             labels.append("%s-%s" % (lbe, lbe))
         return SweepSpec(base, "flows", values, labels=labels, traces=True)
     if experiment_id == "fig2_gain":
-        base.flows = [_flow("reno"), _ledbat()]
+        base.flows = [_flow("reno"), _flow("ledbat")]
         return SweepSpec(base, "flows.1.params.G", [1.0, 2.0, 5.0, 10.0])
     if experiment_id == "fig2_target":
         base.flows = [_flow("reno"),
@@ -460,7 +470,7 @@ def expand_experiment(experiment_id, protocol=None):
                   90, 100, 110, 120, 135, 150]
         return SweepSpec(base, "flows.1.params.T_pct", [float(v) for v in values])
     if experiment_id == "fig3_gain_ratio":
-        base.flows = [_ledbat(), _ledbat()]
+        base.flows = [_flow("ledbat"), _flow("ledbat")]
         return SweepSpec(base, "flows.0.params.G", [1.0, 2.0, 5.0, 10.0])
     if experiment_id == "fig3_target_ratio":
         base.flows = [FlowConfig("ledbat", {"T_pct": 20.0, "G": 1.0}),
@@ -469,32 +479,17 @@ def expand_experiment(experiment_id, protocol=None):
         return SweepSpec(base, "flows.0.params.T_pct",
                          [20.0 * r for r in ratios],
                          labels=["ratio=%g" % r for r in ratios])
-    if experiment_id == "fig4":
-        if protocol not in PROTOCOLS:
-            raise ConfigError("fig4 needs --protocol (lp|nice|ledbat|reno)")
-        values, labels = [], []
-        for n in range(1, 11):
-            if protocol == "reno":
-                values.append([_flow("reno") for _ in range(n + 1)])
-            else:
-                values.append([_flow("reno")] + [_flow(protocol) for _ in range(n)])
-            labels.append("N=%d" % n)
-        return SweepSpec(base, "flows", values, labels=labels)
-    if experiment_id == "fig5":
-        values, labels = [], []
-        for k in range(1, 6):
-            if protocol == "reno":
-                values.append([_flow("reno") for _ in range(3 * k)])
-            else:
-                mix = []
-                for proto in ("lp", "ledbat", "nice"):
-                    mix.extend(_flow(proto) for _ in range(k))
-                values.append(mix)
-            labels.append("k=%d" % k)
-        return SweepSpec(base, "flows", values, labels=labels)
+    if experiment_id == "fig4":  # one reno flow and n of the protocol's
+        values = [[_flow("reno")] + [_flow(protocol) for _ in range(n)]
+                  for n in range(1, 11)]
+        return SweepSpec(base, "flows", values,
+                         labels=["N=%d" % n for n in range(1, 11)])
+    if experiment_id == "fig5":  # k flows of each of three protocols
+        mix = ("reno",) * 3 if protocol == "reno" else ("lp", "ledbat", "nice")
+        values = [[_flow(p) for p in mix for _ in range(k)] for k in range(1, 6)]
+        return SweepSpec(base, "flows", values,
+                         labels=["k=%d" % k for k in range(1, 6)])
     if experiment_id == "fig6":
-        if protocol not in PROTOCOLS:
-            raise ConfigError("fig6 needs --protocol (lp|nice|ledbat|reno)")
         base.flows = [_flow(protocol), _flow(protocol)]
         ratios = list(range(1, 11))
         base_rtt = 2.0 * base.fwd_prop_delay_s

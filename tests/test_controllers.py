@@ -598,8 +598,8 @@ def test_make_controller_ledbat_gain_target_forms():
     led = make_controller("ledbat", {"tau_ms": 50.0, "G": 2.0})
     assert led.tau == pytest.approx(0.05)
     assert led.gamma == pytest.approx(2.0 / 0.05)
-    led = make_controller("ledbat", {"T_pct": 20.0, "G": 1.0,
-                                     "_scenario": (10e6, 1500, 100)})
+    led = make_controller("ledbat", {"T_pct": 20.0, "G": 1.0},
+                          buffer_delay_s=0.12)
     assert led.tau == pytest.approx(0.024)
 
 

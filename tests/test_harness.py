@@ -79,10 +79,11 @@ def test_load_scenario_rejects_bad_controller_params():
     ("buffer_pkts=2.5\nflows.0.protocol=reno\n", 1, "buffer_pkts"),
     ("flows.0.protocol=reno\nflows.0.extra_return_delay_ms=true\n", 2,
      "extra_return_delay_ms"),
+    ("flows.0.protocol=ledbat\nflows.0.params._scenario=5\n", 2, "_scenario"),
 ], ids=["param-not-a-number", "nan-capacity", "infinite-horizon",
         "non-boolean-slow-start", "negative-lp-alpha", "zero-nice-floor",
         "start-at-horizon", "underflowing-target", "fractional-buffer",
-        "boolean-delay"])
+        "boolean-delay", "hidden-scenario-param"])
 def test_load_scenario_rejects_bad_values_with_line(text, line, field):
     with pytest.raises(ConfigError, match="line %d: .*%s" % (line, field)):
         load_scenario(text)
@@ -174,6 +175,49 @@ def test_set_param_paths():
         set_param(cfg, "no.such.path", 1.0)
 
 
+_BASE = ("horizon_s=10\nflows.0.protocol=reno\nflows.1.protocol=ledbat\n"
+         "flows.1.params.tau_ms=25\n")
+# config text key, the field path it sets (whose delays are in seconds where
+# the key's are in ms) and values valid in _BASE
+_TEXT_FIELDS = [
+    ("capacity_bps", "capacity_bps", st.floats(1e3, 1e9)),
+    ("fwd_prop_delay_ms", "fwd_prop_delay_s", st.floats(0.1, 500.0)),
+    ("buffer_pkts", "buffer_pkts", st.integers(1, 1000)),
+    ("pkt_size_bytes", "pkt_size_bytes", st.integers(40, 9000)),
+    ("horizon_s", "horizon_s", st.floats(10.0, 1e4)),
+    ("flows.0.protocol", "flows.0.protocol", st.sampled_from(harness.PROTOCOLS)),
+    ("flows.1.start_at", "flows.1.start_at", st.floats(0.0, 9.0)),
+    ("flows.0.extra_return_delay_ms", "flows.0.extra_return_delay_s",
+     st.floats(0.0, 500.0)),
+    ("flows.1.params.tau_ms", "flows.1.params.tau_ms", st.floats(0.1, 200.0)),
+    ("flows.1.params.G", "flows.1.params.G", st.floats(0.01, 100.0)),
+    ("flows.1.params.gamma", "flows.1.params.gamma", st.floats(0.1, 1e3)),
+    ("flows.1.params.slow_start", "flows.1.params.slow_start", st.booleans()),
+]
+
+
+def _as_text(value):
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+@given(st.sampled_from(_TEXT_FIELDS).flatmap(
+           lambda f: st.tuples(st.just(f), f[2])),
+       st.sampled_from(["validate", "build_controller", "__class__",
+                        "__dict__", "__init__", "flows.0.__class__"]))
+def test_scenario_lines_and_sweep_axes_resolve_the_same_fields(case, not_a_field):
+    (key, path, _), value = case
+    base = load_scenario(_BASE)
+    from_line = load_scenario(_BASE + "%s=%s\n" % (key, _as_text(value)))
+    in_ms = key.endswith("delay_ms")
+    from_axis = set_param(base, path, value / 1000.0 if in_ms else value)
+    assert from_line == from_axis
+    assert from_axis.validate() == from_line
+    # a sweep axis sets fields only, never any other attribute
+    with pytest.raises(ConfigError, match="names no scenario field"):
+        set_param(base, not_a_field, value)
+    assert load_scenario(_BASE) == base
+
+
 # -- running -------------------------------------------------------------
 
 def short_cfg(*protocols, horizon=2.0):
@@ -238,6 +282,21 @@ def test_run_sweep_rejects_a_bad_point_before_any_run(monkeypatch):
     assert runs == []
 
 
+def test_run_sweep_builds_each_point_once_and_runs_that_config(monkeypatch):
+    spec = SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s", [1.0, 2.0],
+                     repeat=2)
+    built, ran = [], []
+    point_config = SweepSpec.point_config
+    monkeypatch.setattr(SweepSpec, "point_config",
+                        lambda self, value: built.append(point_config(self, value))
+                        or built[-1])
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda cfg, **kwargs: ran.append(cfg))
+    run_sweep(spec)
+    assert [cfg.horizon_s for cfg in built] == [1.0, 2.0]
+    assert [id(cfg) for cfg in ran] == [id(built[0])] * 2 + [id(built[1])] * 2
+
+
 def test_run_sweep_repeat_marks_reps():
     base = short_cfg("reno", horizon=1.0)
     spec = SweepSpec(base, "horizon_s", [1.0], repeat=2)
@@ -295,6 +354,42 @@ def test_cli_sweep_over_flows_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["sweep", spec]) == 2
     err = capsys.readouterr().err
     assert "line 3: flows='reno'" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("validate", "1,2"), ("__class__", "1,2"), ("flows.-1.protocol", "reno,lp"),
+], ids=["method", "dunder", "negative-flow-index"])
+def test_cli_sweep_axis_that_names_no_field_is_a_usage_error(tmp_path, capsys,
+                                                              axis, values):
+    spec = write(tmp_path, "sweep.cfg", "horizon_s=1\naxis=%s\nvalues=%s\n"
+                 "flows.0.protocol=reno\nflows.1.protocol=reno\n" % (axis, values))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: %s=" % axis in err
+    assert "names no scenario field" in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
+_HUGE = "1" + "0" * 400  # an int too large for a float
+
+
+@pytest.mark.parametrize("command, text, match", [
+    ("run", "flows.0.protocol=reno\ncapacity_bps=%s\n" % _HUGE,
+     "line 2: bad value for 'capacity_bps'"),
+    ("run", "flows.0.protocol=ledbat\nflows.0.params.tau_ms=%s\n" % _HUGE,
+     "line 2: flows.0.params: tau_ms must be"),
+    ("sweep", "axis=horizon_s\nvalues=1,%s\nflows.0.protocol=reno\n" % _HUGE,
+     "line 2: horizon_s=%s: horizon_s must be" % _HUGE),
+], ids=["scenario-field", "controller-param", "sweep-value"])
+def test_cli_int_too_large_for_a_float_is_a_usage_error(tmp_path, capsys,
+                                                       command, text, match):
+    cfg = write(tmp_path, "huge.cfg", text)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert match in err
     assert "internal error" not in err
 
 
