@@ -2,8 +2,8 @@
 (TCP-LP, TCP-NICE, LEDBAT) competing with TCP Reno on a dumbbell
 bottleneck, with a metrics harness and a scenario catalog."""
 
-from .controllers import (GainTargetCoords, LedbatController, LpController,
-                          NiceController, RenoController, make_controller)
+from .controllers import (LedbatController, LpController, NiceController,
+                          RenoController, make_controller)
 from .engine import Simulator
 from .harness import (FlowConfig, ScenarioConfig, SweepSpec,
                       expand_experiment, load_scenario, run_scenario,
@@ -12,12 +12,11 @@ from .metrics import (MetricsReport, efficiency, jain_index, loss_rate,
                       queue_occupancy, short_term_fairness, tcp_breakdown)
 
 __all__ = [
-    "FlowConfig", "GainTargetCoords", "LedbatController", "LpController",
-    "MetricsReport", "NiceController", "RenoController", "ScenarioConfig",
-    "Simulator", "SweepSpec", "efficiency", "expand_experiment",
-    "jain_index", "load_scenario", "loss_rate", "make_controller",
-    "queue_occupancy", "run_scenario", "run_sweep", "short_term_fairness",
-    "tcp_breakdown",
+    "FlowConfig", "LedbatController", "LpController", "MetricsReport",
+    "NiceController", "RenoController", "ScenarioConfig", "Simulator",
+    "SweepSpec", "efficiency", "expand_experiment", "jain_index",
+    "load_scenario", "loss_rate", "make_controller", "queue_occupancy",
+    "run_scenario", "run_sweep", "short_term_fairness", "tcp_breakdown",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from . import harness
 def _add_common(p):
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write outputs into DIR (default: CSV to stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--seed", type=int, default=None,
                    help="accepted but unused by the deterministic core")
     p.add_argument("--event-log", default=None, metavar="PATH",

@@ -18,7 +18,6 @@ ScenarioConfig.build_controller passes to make_controller.
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 
 from . import engine
 
@@ -348,29 +347,9 @@ class LedbatController(Controller):
         self.in_slow_start = False
 
 
-@dataclass
-class GainTargetCoords:
-    """Dimensionless LEDBAT parameter coordinates: G = gamma*tau and
-    T = target expressed as a fraction of the buffer's worth of delay."""
-
-    G: float
-    T: float
-
-    @staticmethod
-    def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
-        return buffer_pkts * pkt_size_bytes * 8.0 / capacity_bps
-
-    def to_params(self, capacity_bps, pkt_size_bytes, buffer_pkts):
-        """Return (gamma, tau) for a concrete bottleneck."""
-        if self.G <= 0 or self.T <= 0:
-            raise ValueError("G and T must be positive")
-        tau = self.T * self.buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts)
-        return self.G / tau, tau
-
-    @classmethod
-    def from_params(cls, gamma, tau, capacity_bps, pkt_size_bytes, buffer_pkts):
-        full = cls.buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts)
-        return cls(G=gamma * tau, T=tau / full)
+def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
+    """Time a full buffer takes to drain; a LEDBAT T_pct is a share of it."""
+    return buffer_pkts * pkt_size_bytes * 8.0 / capacity_bps
 
 
 class ParamError(ValueError):
@@ -450,7 +429,7 @@ def _make_ledbat(params, buffer_delay_s):
     if t_pct is not None:
         if buffer_delay_s is None:
             raise ValueError("T_pct needs bottleneck parameters")
-        tau = t_pct / 100.0 * buffer_delay_s  # as GainTargetCoords.to_params
+        tau = t_pct / 100.0 * buffer_delay_s
     else:
         tau = (tau_ms if tau_ms is not None else 25.0) / 1000.0
     if not tau > 0:  # a positive tau_ms can underflow

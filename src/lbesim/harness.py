@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import engine, metrics
-from .controllers import GainTargetCoords, ParamError, make_controller
+from .controllers import ParamError, buffer_delay_s, make_controller
 from .engine import Simulator
 from .network import BottleneckLink
 from .transport import FlowEndpoint
@@ -83,6 +83,11 @@ class ScenarioConfig:
     flows: list = field(default_factory=list)
 
     def validate(self):
+        self._controllers()
+        return self
+
+    def _controllers(self):
+        """Validate the config and return fresh controllers for its flows."""
         for path, kind in FIELDS.items():
             if not path.startswith("flows."):
                 _check(path, kind, getattr(self, path))
@@ -92,6 +97,7 @@ class ScenarioConfig:
                               % (self.flows,), key="flows")
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
+        controllers = []
         for i, fc in enumerate(self.flows):
             for path, kind in FIELDS.items():
                 if path.startswith("flows.N.") and kind != "param":
@@ -102,17 +108,17 @@ class ScenarioConfig:
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
                                   key="flows.%d.start_at" % i)
             try:
-                self.build_controller(fc)
+                controllers.append(self.build_controller(fc))
             except ValueError as exc:
                 key = "flows.%d.params" % i
                 if isinstance(exc, ParamError):
                     key += "." + exc.param
                 raise ConfigError("flows.%d.params: %s" % (i, exc), key=key) from exc
-        return self
+        return controllers
 
     def build_controller(self, fc):
         """Flow fc's controller; a T_pct is a share of this buffer's delay."""
-        return make_controller(fc.protocol, fc.params, GainTargetCoords.buffer_delay_s(
+        return make_controller(fc.protocol, fc.params, buffer_delay_s(
             self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts))
 
 
@@ -266,13 +272,12 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
     """Build the dumbbell, run to the horizon and compute the metric suite.
     With traces on, each flow's cwnd and the link's backlog (waiting
     packets, the transmitting one excluded) are sampled every 100 ms."""
-    cfg.validate()
+    controllers = cfg._controllers()
     sim = Simulator(trace=event_log)
     link = BottleneckLink(sim, cfg.capacity_bps, cfg.fwd_prop_delay_s,
                           cfg.buffer_pkts)
     flows = []
-    for i, fc in enumerate(cfg.flows):
-        ctl = cfg.build_controller(fc)
+    for i, (fc, ctl) in enumerate(zip(cfg.flows, controllers)):
         flows.append(FlowEndpoint(
             sim, link, flow_id=i, controller=ctl,
             pkt_size_bytes=cfg.pkt_size_bytes,
@@ -380,7 +385,9 @@ def run_sweep(spec, scenario_prefix="sweep", event_log=None):
 def _axis_label(axis, value):
     if axis == "flows":
         return "+".join(fc.protocol for fc in value)
-    return "%g" % value if isinstance(value, (int, float)) else str(value)
+    if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return "%g" % value
+    return str(value)  # inf and nan print as with %g; a huge int has no %g
 
 
 def sweep_csv(points):

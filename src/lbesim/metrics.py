@@ -7,9 +7,8 @@ after a run. Throughput is goodput measured at the receiver, so efficiency
 never exceeds one (up to header accounting noise).
 """
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 WINDOW_S = 1.0  # fairness window: bytes arriving at t count in int(t / WINDOW_S)
 
@@ -91,38 +90,52 @@ def tcp_breakdown(flows, horizon_s):
     return reno / total
 
 
+def _sum(xs):
+    """Sum floats in the order np.sum adds a float64 array, so that the two
+    agree to the last bit: above 128 elements, halves split at a multiple
+    of 8; below, 8 running sums over whole blocks of 8, then the rest one
+    by one, all added to 0.0 (so -0.0 sums to 0.0, as in np.sum)."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    res = 0.0
+    end = n - n % 8 if n >= 8 else 0
+    if end:
+        r = xs[:8]
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, xs[i:i + 8])]
+        res += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        res += x
+    return res
+
+
 def jain_index(rates):
     """(sum x)^2 / (N sum x^2); 1 for equal shares, 1/N under monopoly.
     Undefined (None) for an all-zero vector."""
-    x = np.asarray(rates, dtype=float)
-    if x.size == 0 or np.any(x < 0):
+    x = [float(r) for r in rates]
+    if not x or any(v < 0 for v in x):
         raise ValueError("rates must be a non-empty vector of non-negatives")
-    s2 = float(np.sum(x * x))
+    s2 = _sum([v * v for v in x])
     if s2 == 0.0:
         return None
-    return float(np.sum(x)) ** 2 / (x.size * s2)
+    return _sum(x) ** 2 / (len(x) * s2)
 
 
 def short_term_fairness(window_bytes_per_flow, horizon_s):
-    """Per-window Jain index over each flow's bytes per window (bytes past
-    the horizon count in the last one), aggregated over the windows that
-    carry traffic. Returns (mean, min, series)."""
-    n_bins = int(np.ceil(horizon_s / WINDOW_S))
+    """Jain index of the flows' bytes in each window (bytes past the horizon
+    count in the last one), averaged over the windows that carry traffic;
+    None if none does."""
+    n_bins = math.ceil(horizon_s / WINDOW_S)
     if n_bins < 1:
         raise ValueError("window does not fit in the horizon")
-    mat = np.zeros((len(window_bytes_per_flow), n_bins))
-    for i, bins in enumerate(window_bytes_per_flow):
+    rows = [[0.0] * n_bins for _ in window_bytes_per_flow]
+    for row, bins in zip(rows, window_bytes_per_flow):
         for b, nbytes in bins.items():
-            mat[i, min(b, n_bins - 1)] += nbytes
-    series = []
-    for b in range(n_bins):
-        col = mat[:, b]
-        if col.sum() > 0:
-            series.append((b * WINDOW_S, jain_index(col)))
-    if not series:
-        return None, None, []
-    vals = [j for _, j in series]
-    return float(np.mean(vals)), float(np.min(vals)), series
+            row[min(b, n_bins - 1)] += nbytes
+    vals = [jain_index(col) for col in zip(*rows) if _sum(col) > 0]
+    return _sum(vals) / len(vals) if vals else None
 
 
 def queue_occupancy(backlog_sum, n_samples, peak, buffer_pkts):
@@ -147,7 +160,7 @@ def loss_rate(flows):
 def build_report(scenario_id, params, flows, backlog_sum, n_samples,
                  backlog_peak, buffer_pkts, horizon_s, capacity_bps):
     """Assemble the full metric suite for one finished run."""
-    f_st = short_term_fairness([c.window_bytes for c in flows], horizon_s)[0]
+    f_st = short_term_fairness([c.window_bytes for c in flows], horizon_s)
     rates = [flow_throughput(c, horizon_s) for c in flows]
     return MetricsReport(
         scenario_id=scenario_id,

@@ -1,6 +1,6 @@
 """Controller unit tests against independently computed oracles: the delay
 filters, threshold tests, the linear delay-target step, the LP phase
-machine, the NICE halving gate and the gain/target coordinate mapping."""
+machine, the NICE halving gate and the buffer delay behind T_pct."""
 
 import math
 import random
@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lbesim.controllers import (GainTargetCoords, LedbatController,
-                                LpController, NiceController, RenoController,
-                                SlidingExtrema, ledbat_offset,
+from lbesim.controllers import (LedbatController, LpController,
+                                NiceController, RenoController, SlidingExtrema,
+                                buffer_delay_s, ledbat_offset,
                                 lp_early_congestion, lp_update_delay,
                                 make_controller)
 from lbesim.engine import Simulator
@@ -531,40 +531,11 @@ def test_inline_on_ack_equals_fold_over_helpers(run):
         assert repr(got) == repr(want)
 
 
-# -- gain/target coordinates ---------------------------------------------
+# -- bottleneck anchors ---------------------------------------------------
 
 def test_buffer_delay_for_default_bottleneck():
     # 100 packets of 1500 B at 10 Mbit/s take 120 ms to drain
-    assert GainTargetCoords.buffer_delay_s(10e6, 1500, 100) == pytest.approx(0.12)
-
-
-def test_target_fraction_maps_to_delay():
-    gamma, tau = GainTargetCoords(G=1.0, T=0.20).to_params(10e6, 1500, 100)
-    assert tau == pytest.approx(0.024)
-    assert gamma * tau == pytest.approx(1.0)
-    _, tau_full = GainTargetCoords(G=1.0, T=1.0).to_params(10e6, 1500, 100)
-    assert tau_full == pytest.approx(0.12)
-
-
-def test_default_parameters_sit_at_unit_gain():
-    coords = GainTargetCoords.from_params(40.0, 0.025, 10e6, 1500, 100)
-    assert coords.G == pytest.approx(1.0)
-    assert coords.T == pytest.approx(0.025 / 0.12)
-
-
-def test_coordinate_round_trip():
-    coords = GainTargetCoords(G=5.0, T=0.4)
-    gamma, tau = coords.to_params(10e6, 1500, 100)
-    back = GainTargetCoords.from_params(gamma, tau, 10e6, 1500, 100)
-    assert back.G == pytest.approx(5.0)
-    assert back.T == pytest.approx(0.4)
-
-
-def test_non_positive_coordinates_rejected():
-    with pytest.raises(ValueError):
-        GainTargetCoords(G=0.0, T=0.2).to_params(10e6, 1500, 100)
-    with pytest.raises(ValueError):
-        GainTargetCoords(G=1.0, T=-0.1).to_params(10e6, 1500, 100)
+    assert buffer_delay_s(10e6, 1500, 100) == pytest.approx(0.12)
 
 
 def test_fixed_point_backlog_for_default_target():
@@ -618,5 +589,9 @@ def test_make_controller_rejections():
         make_controller("ledbat", {"T_pct": 20})  # needs bottleneck params
     with pytest.raises(ValueError):
         make_controller("ledbat", {"tau_ms": 0})
+    with pytest.raises(ValueError):
+        make_controller("ledbat", {"T_pct": 0}, buffer_delay_s=0.12)
+    with pytest.raises(ValueError):
+        make_controller("ledbat", {"G": 0})
     with pytest.raises(ValueError):
         make_controller("vegas")

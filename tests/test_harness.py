@@ -2,6 +2,11 @@
 front-end tests. Full-length catalog runs live in the acceptance suite;
 everything here uses short horizons."""
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -297,6 +302,31 @@ def test_run_sweep_builds_each_point_once_and_runs_that_config(monkeypatch):
     assert [id(cfg) for cfg in ran] == [id(built[0])] * 2 + [id(built[1])] * 2
 
 
+def test_run_sweep_value_too_large_for_a_float_is_a_config_error():
+    spec = SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s", [10**400])
+    with pytest.raises(ConfigError, match="sweep point 10{400}: horizon_s must be"):
+        run_sweep(spec)
+
+
+def test_run_sweep_builds_each_controller_once_per_run(monkeypatch):
+    # one 2-flow fig2_gain point: validation builds both controllers once,
+    # and each run builds its own
+    spec = expand_experiment("fig2_gain")
+    spec.base.horizon_s = 1.0
+    spec.values = spec.values[:1]
+    built = []
+    make_controller = harness.make_controller
+    monkeypatch.setattr(harness, "make_controller",
+                        lambda *a: built.append(make_controller(*a)) or built[-1])
+    run_sweep(spec)
+    assert len(built) == 4
+    spec.repeat = 2
+    built.clear()
+    run_sweep(spec)
+    assert len(built) == 6
+    assert len({id(ctl) for ctl in built}) == 6  # fresh for every run
+
+
 def test_run_sweep_repeat_marks_reps():
     base = short_cfg("reno", horizon=1.0)
     spec = SweepSpec(base, "horizon_s", [1.0], repeat=2)
@@ -587,3 +617,19 @@ def test_cli_config_error_leaves_event_log_untouched(tmp_path, capsys,
 def test_cli_experiment_requires_protocol_when_needed(capsys):
     assert cli.main(["experiment", "fig4"]) == 2
     assert "protocol" in capsys.readouterr().err
+
+
+def test_cli_runs_the_readme_example_without_numpy(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        example = re.search(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S).group(1)
+    cfg = write(tmp_path, "readme.cfg", example)
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            "sys.argv = ['lbesim', 'run', %r]; "
+            "runpy.run_module('lbesim.cli', run_name='__main__')" % cfg)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == harness.metrics.MetricsReport.CSV_HEADER
+    assert len(proc.stdout.splitlines()) == 2

@@ -1,13 +1,13 @@
-"""Metric function unit tests: Jain index anchors and invariances,
-efficiency bounds, TCP breakdown, windowed fairness, queue occupancy and
-loss rate."""
+"""Metric function unit tests: the numpy-order sum, Jain index anchors and
+invariances, efficiency bounds, TCP breakdown, windowed fairness, queue
+occupancy and loss rate."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lbesim.metrics import (FlowCounters, MetricsReport, build_report,
+from lbesim.metrics import (FlowCounters, MetricsReport, _sum, build_report,
                             efficiency, flow_throughput, jain_index,
                             loss_rate, queue_occupancy, short_term_fairness,
                             tcp_breakdown)
@@ -17,6 +17,27 @@ def fc(proto="reno", mbytes=10.0, sent=1000, dropped=0, fid=0, window_bytes=None
     return FlowCounters(flow_id=fid, protocol=proto,
                         bytes_delivered=int(mbytes * 1e6), packets_sent=sent,
                         packets_dropped=dropped, window_bytes=dict(window_bytes or {}))
+
+
+# -- numpy-order sum ------------------------------------------------------
+
+FINITE = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+# lengths up to 300 reach all three branches: below 8, up to 128, above
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.lists(FINITE, min_size=n, max_size=n)))
+@example([-0.0] * 7)
+@example([-0.0] * 8)
+@example([-0.0] * 200)
+@example([1e308] * 136)
+def test_sum_matches_numpy_bit_for_bit(xs):
+    arr = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf
+        # == cannot tell 0.0 from -0.0; the repr can
+        assert repr(_sum(xs)) == repr(float(np.sum(arr)))
+        if xs:
+            assert repr(_sum(xs) / len(xs)) == repr(float(np.mean(arr)))
 
 
 # -- Jain index ----------------------------------------------------------
@@ -102,34 +123,29 @@ def test_short_term_fairness_over_alternating_windows():
     # each one-second window carries exactly one of the two flows
     d0 = {0: 1000}
     d1 = {1: 1000}
-    mean, mn, series = short_term_fairness([d0, d1], horizon_s=2.0)
-    assert [t for t, _ in series] == [0.0, 1.0]
-    assert mean == pytest.approx(0.5)
-    assert mn == pytest.approx(0.5)
+    assert short_term_fairness([d0, d1], horizon_s=2.0) == pytest.approx(0.5)
 
 
 def test_short_term_fairness_equal_traffic_is_one():
     d = {0: 500, 1: 500}
-    mean, mn, series = short_term_fairness([d, dict(d)], horizon_s=2.0)
-    assert mean == pytest.approx(1.0) and mn == pytest.approx(1.0)
+    assert short_term_fairness([d, dict(d)], horizon_s=2.0) == pytest.approx(1.0)
 
 
 def test_short_term_fairness_quiet_windows_are_skipped():
     d0 = {0: 1000}
-    mean, mn, series = short_term_fairness([d0, {}], horizon_s=5.0)
-    assert len(series) == 1  # four of the five windows carried nothing
+    # four of the five windows carried nothing and stay out of the mean
+    assert short_term_fairness([d0, {}], horizon_s=5.0) == pytest.approx(0.5)
 
 
 def test_short_term_fairness_counts_bytes_at_the_horizon_in_the_last_window():
     # a delivery at t == horizon lands in bin 2 of a 2-window horizon
-    mean, mn, series = short_term_fairness([{2: 1000}, {1: 1000}], horizon_s=2.0)
-    assert [t for t, _ in series] == [1.0]
+    # so window 1 holds both flows' bytes, and window 0 none
+    mean = short_term_fairness([{2: 1000}, {1: 1000}], horizon_s=2.0)
     assert mean == pytest.approx(1.0)
 
 
 def test_short_term_fairness_no_traffic():
-    mean, mn, series = short_term_fairness([{}, {}], horizon_s=2.0)
-    assert mean is None and mn is None and series == []
+    assert short_term_fairness([{}, {}], horizon_s=2.0) is None
 
 
 def test_short_term_fairness_bad_window():
