@@ -361,6 +361,17 @@ class ParamError(ValueError):
         self.param = param
 
 
+def shown(value, fmt=repr):
+    """fmt(value), or the digit count of an int too long to print."""
+    try:
+        return fmt(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            from decimal import Decimal  # only this error path needs it
+            return "<int of %d digits>" % (Decimal(value).adjusted() + 1)
+        return "<%s holding an int too long to print>" % type(value).__name__
+
+
 def _param(params, name, default, low, high=INF, low_open=True):
     """Pop a numeric parameter and check that it is finite and in its range,
     open at `low` unless low_open is False and closed at a finite `high`.
@@ -369,13 +380,13 @@ def _param(params, name, default, low, high=INF, low_open=True):
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParamError(name, "must be a number, got %r" % (value,))
+        raise ParamError(name, "must be a number, got %s" % shown(value))
     above_low = low < value if low_open else low <= value
     # a float holds it finitely: not NaN, infinite or an int too large
     if not (abs(value) <= sys.float_info.max and above_low and value <= high):
-        raise ParamError(name, "must be in %s%g, %g%s, got %r"
+        raise ParamError(name, "must be in %s%g, %g%s, got %s"
                          % ("(" if low_open else "[", low, high,
-                            "]" if high < INF else ")", value))
+                            "]" if high < INF else ")", shown(value)))
     return value
 
 
@@ -386,7 +397,7 @@ def make_controller(protocol, params=None, buffer_delay_s=None):
     params = dict(params or {})
     if protocol == "reno":
         if params:
-            raise ValueError("reno takes no parameters: %r" % params)
+            raise ValueError("reno takes no parameters: %s" % shown(params))
         return RenoController()
     if protocol == "lp":
         return LpController(
@@ -404,7 +415,7 @@ def make_controller(protocol, params=None, buffer_delay_s=None):
             **_reject_left(params, "nice"))
     if protocol == "ledbat":
         return _make_ledbat(params, buffer_delay_s)
-    raise ValueError("unknown protocol %r" % protocol)
+    raise ValueError("unknown protocol %s" % shown(protocol))
 
 
 def _reject_left(params, proto):
@@ -420,7 +431,7 @@ def _make_ledbat(params, buffer_delay_s):
     g = _param(params, "G", None, 0.0)
     slow_start = params.pop("slow_start", False)
     if not isinstance(slow_start, bool):
-        raise ParamError("slow_start", "must be true or false, got %r" % (slow_start,))
+        raise ParamError("slow_start", "must be true or false, got %s" % shown(slow_start))
     _reject_left(params, "ledbat")
     if tau_ms is not None and t_pct is not None:
         raise ValueError("give ledbat.tau_ms or ledbat.T_pct, not both")

@@ -13,7 +13,6 @@ NS_PER_S = 1_000_000_000
 
 # Event kinds, used for the optional debug event log.
 PACKET_ARRIVAL = "PacketArrival"
-TRANSMISSION_COMPLETE = "TransmissionComplete"
 RTO_TIMER = "RtoTimer"
 INFERENCE_PHASE_END = "InferencePhaseEnd"
 METRICS_SAMPLE_TICK = "MetricsSampleTick"
@@ -34,11 +33,19 @@ class SimulationFault(RuntimeError):
 
 
 # A handle is the list [at_ns, seq, kind, fn, label]: the key the event
-# dispatches at, then what it calls. A heap entry whose key no longer
-# matches its handle's is stale. seq is SPENT once the event fired or was
-# cancelled, and RELAYED while a relay waits at its first key.
+# dispatches at, then what it calls; a relay's adds one more (see
+# relay_at_ns). A heap entry whose key no longer matches its handle's is
+# stale. seq is SPENT once the event fired or was cancelled, and RELAYED
+# while a relay waits at its first key.
 SPENT = -1
 RELAYED = -2
+# A schedule made at now_ns gets the sequence number (now_ns << SEQ_BITS)
+# + n, n counting every schedule so far, so ties break in the order the
+# schedules were made, and each sequence number tells when it was given.
+# n stays below LATE; the numbers from LATE up in a nanosecond's range are
+# left for relays that count as scheduled after everything else then.
+SEQ_BITS = 40
+LATE = 1 << (SEQ_BITS - 1)
 
 
 @dataclass
@@ -76,30 +83,34 @@ class Simulator:
             raise ScheduleInPastError(
                 "cannot schedule %s at t=%dns before now=%dns" % (kind, at_ns, self.now_ns)
             )
-        seq = self._seq
-        self._seq = seq + 1
+        seq = (self.now_ns << SEQ_BITS) + self._seq
+        self._seq += 1
         self._live += 1
         ev = [at_ns, seq, kind, fn, label]
         heappush(self._heap, (at_ns, seq, ev))
         return ev
 
-    def relay_at_ns(self, via_ns, at_ns, kind, fn, label=""):
+    def relay_at_ns(self, via_ns, at_ns, kind, fn, label="", by_ns=None):
         """Dispatch fn() at at_ns as if a handler at via_ns scheduled it, and
-        return its handle. Needs via_ns <= at_ns.
+        return its handle. Needs via_ns <= at_ns. That handler's event
+        counts as scheduled now, or with by_ns (now <= by_ns <= via_ns) as
+        scheduled at by_ns after everything else scheduled then.
 
         The entry is scheduled at via_ns now, so it takes the heap slot and
-        the sequence number that handler's event would take. When it
-        surfaces at via_ns it re-enters the heap under at_ns and the
-        sequence number a schedule made at that moment gets, which is the
-        key the handler would have given fn. Nothing is dispatched at
-        via_ns and the step is not counted as processed; the event counts
-        once as pending throughout."""
-        if at_ns < via_ns:
-            raise ScheduleInPastError(
-                "cannot relay %s to t=%dns before t=%dns" % (kind, at_ns, via_ns))
+        the sequence number that handler's event would take; with by_ns,
+        when it surfaces, it first gives way to any entry at via_ns given
+        its sequence number by then. When it surfaces at via_ns it
+        re-enters the heap under at_ns and the sequence number a schedule
+        made at that moment gets, which is the key the handler would have
+        given fn. Nothing is dispatched at via_ns and the step is not
+        counted as processed; the event counts once as pending throughout."""
+        if at_ns < via_ns or by_ns is not None and not self.now_ns <= by_ns <= via_ns:
+            raise ScheduleInPastError("cannot relay %s to t=%dns from t=%dns by t=%s"
+                                      % (kind, at_ns, via_ns, by_ns))
         ev = self.schedule_at_ns(via_ns, kind, fn, label)
         ev[0] = at_ns
         ev[1] = RELAYED
+        ev.append(None if by_ns is None else (by_ns << SEQ_BITS) + LATE + self._seq)
         return ev
 
     def reschedule(self, ev, at_ns, kind, fn, label=""):
@@ -116,7 +127,7 @@ class Simulator:
         if ev is not None and ev[1] != SPENT:
             if ev[1] >= 0 and at_ns >= ev[0]:
                 ev[0] = at_ns
-                ev[1] = self._seq
+                ev[1] = (self.now_ns << SEQ_BITS) + self._seq
                 self._seq += 1
                 return ev
             self.cancel(ev)
@@ -151,9 +162,18 @@ class Simulator:
                 break
             if ev[1] != seq:
                 seq = ev[1]
-                if seq == RELAYED:  # take the key a schedule made now gets
-                    seq = ev[1] = self._seq
-                    self._seq = seq + 1
+                if seq == RELAYED:
+                    late = ev[5]
+                    if late is not None:  # by_ns: entries here numbered by then go first
+                        ev[5] = None
+                        n = len(heap)
+                        if (n > 1 and heap[1][0] == at_ns and heap[1][1] < late
+                                or n > 2 and heap[2][0] == at_ns and heap[2][1] < late):
+                            heapreplace(heap, (at_ns, late, ev))
+                            continue
+                    # take the key a schedule made now gets
+                    seq = ev[1] = (at_ns << SEQ_BITS) + self._seq
+                    self._seq += 1
                 elif seq < 0:
                     heappop(heap)
                     continue

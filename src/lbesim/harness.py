@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import engine, metrics
-from .controllers import ParamError, buffer_delay_s, make_controller
+from .controllers import ParamError, buffer_delay_s, make_controller, shown
 from .engine import Simulator
 from .network import BottleneckLink
 from .transport import FlowEndpoint
@@ -93,8 +93,8 @@ class ScenarioConfig:
                 _check(path, kind, getattr(self, path))
         if not (isinstance(self.flows, (list, tuple))
                 and all(isinstance(fc, FlowConfig) for fc in self.flows)):
-            raise ConfigError("flows must be a list of flow configs, got %r"
-                              % (self.flows,), key="flows")
+            raise ConfigError("flows must be a list of flow configs, got %s"
+                              % shown(self.flows), key="flows")
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
         controllers = []
@@ -125,7 +125,7 @@ class ScenarioConfig:
 def _check(path, kind, value):
     need, ok = _KINDS[kind]
     if not ok(value):
-        raise ConfigError("%s must be %s, got %r" % (path, need, value), key=path)
+        raise ConfigError("%s must be %s, got %s" % (path, need, shown(value)), key=path)
 
 
 def _field(path):
@@ -303,7 +303,7 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         if traces:
             for f in flows:
                 cwnd_traces[f.flow_id].append((sim.now, f.cwnd))
-            queue_samples.append((sim.now, len(link.queue)))
+            queue_samples.append((sim.now, link.backlog()))
         if sim.now + SAMPLE_TICK_S <= cfg.horizon_s:
             sim.schedule_after(SAMPLE_TICK_S, engine.METRICS_SAMPLE_TICK,
                                sample_tick, label="sample")
@@ -387,7 +387,7 @@ def _axis_label(axis, value):
         return "+".join(fc.protocol for fc in value)
     if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
         return "%g" % value
-    return str(value)  # inf and nan print as with %g; a huge int has no %g
+    return shown(value, str)  # inf and nan print as with %g; a huge int has no %g
 
 
 def sweep_csv(points):

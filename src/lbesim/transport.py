@@ -73,7 +73,7 @@ class FlowEndpoint:
         self.packets_dropped = 0   # tail-dropped at the bottleneck buffer
         self.delivered_pkts = 0    # arrivals at the receiver, dupes included
         self.window_bytes = defaultdict(int)  # WINDOW_S window -> new in-order bytes
-        self.in_network = 0        # accepted but not yet delivered
+        self.in_network = 0        # accepted, arriving after the horizon
 
     @property
     def in_flight(self):
@@ -146,12 +146,12 @@ class FlowEndpoint:
 
     # -- receiver side ---------------------------------------------------
 
-    def on_data_arrival(self, p, at_ns):
+    def on_data_arrival(self, p, at_ns, finish_ns=None):
         """Receiver: accept a data packet (flow_id, seq, sent_at) that
-        arrives at at_ns and ack it at once, echoing the sender timestamp
-        and the measured one-way delay. The link calls this when the packet
-        finishes serializing, before at_ns; the ack still leaves at at_ns
-        (see return_path_send)."""
+        arrives at at_ns and ack it then, echoing the sender timestamp and
+        the measured one-way delay. The link calls this when it accepts the
+        packet, which finishes serializing at finish_ns; the ack still
+        leaves at at_ns (see return_path_send)."""
         if at_ns > self.horizon_ns:
             return
         _, seq, sent_at = p
@@ -172,7 +172,7 @@ class FlowEndpoint:
             self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
         self._acks.append((self.rx_next, now - sent_at, sent_at))
         return_path_send(self.sim, at_ns, self._return_ns, self._ack_handler,
-                         self._ack_label)
+                         self._ack_label, finish_ns)
 
     def _ack_arrive(self):
         # acks of one flow share one return delay, so they land in the

@@ -231,7 +231,7 @@ def test_12_packet_conservation_and_drain():
     drained = all(f.in_network == 0 for f in flows)
     zero_sum = all(f.packets_sent == f.delivered_pkts + f.packets_dropped
                    for f in flows)
-    ok = conserved and drained and zero_sum and not link.queue
+    ok = conserved and drained and zero_sum and link.backlog() == 0
     verdict(12, ok, "conserved=%s drained=%s in_flight_zero=%s"
             % (conserved, drained, zero_sum))
 

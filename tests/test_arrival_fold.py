@@ -1,11 +1,18 @@
-"""The folded data arrival against a reference three-event data path.
+"""The analytic link against a reference three-event data path.
 
-The link hands each packet to the receiver when it finishes serializing,
-and the receiver relays its ack through the packet's arrival time
-(`Simulator.relay_at_ns`), so a delivered packet costs two events. The
-reference below keeps the third: a real data-arrival event, whose handler
-sends the ack with a plain schedule. Every scenario output must be equal,
-the 100 ms cwnd samples and their ties with acks included."""
+The link works out each packet's service start, finish and arrival when
+it accepts the packet, and hands it to the receiver at once. The receiver
+relays its ack through the packet's arrival time (`Simulator.relay_at_ns`),
+as if the arrival event had been scheduled last of all when the packet
+finished serializing, so a delivered packet costs one event. The reference
+below keeps the other two: a TransmissionComplete that starts serializing
+each waiting packet, and a real data-arrival event whose handler sends the
+ack with a plain schedule. Inside the bound (one serialization time shorter
+than every return delay and than the 100 ms sample period) every scenario
+output must be equal, the 100 ms cwnd and queue samples and their ties
+with acks included."""
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +23,38 @@ from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 
 
 class ThreeEventLink(network.BottleneckLink):
-    """Hands each packet over from an event at its arrival time."""
+    """A server with events: the packet in service finishes with a
+    TransmissionComplete, which schedules its arrival event and starts
+    the head of the line."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.queue = deque()
+        self.in_service = None
+
+    def backlog(self):
+        return len(self.queue)
+
+    def enqueue(self, p):
+        depth = len(self.queue)
+        self.backlog_sum += depth
+        if depth > self.backlog_peak:
+            self.backlog_peak = depth
+        if depth >= self.buffer_pkts:
+            self.total_dropped += 1
+            return False
+        self.total_enqueued += 1
+        if self.in_service is None:  # an idle link has an empty buffer
+            self._serialize(p)
+        else:
+            self.queue.append(p)
+        return True
+
+    def _serialize(self, p):
+        self.in_service = p
+        sim = self.sim
+        sim.schedule_at_ns(sim.now_ns + self._routes[p[0]][1],
+                           "TransmissionComplete", self._tx_done, "flow%s" % p[0])
 
     def _tx_done(self):
         p, sim = self.in_service, self.sim
@@ -24,15 +62,13 @@ class ThreeEventLink(network.BottleneckLink):
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
                            lambda: deliver(p, sim.now_ns), "flow%s" % p[0])
         if self.queue:
-            nxt = self.in_service = self.queue.popleft()
-            _, tx_ns, label = self._routes[nxt[0]]
-            sim.schedule_at_ns(sim.now_ns + tx_ns, engine.TRANSMISSION_COMPLETE,
-                               self._tx_done, label)
+            self._serialize(self.queue.popleft())
         else:
             self.in_service = None
 
 
-def scheduled_return_path(sim, arrive_ns, delay_ns, deliver, label=""):
+def scheduled_return_path(sim, arrive_ns, delay_ns, deliver, label="",
+                          finish_ns=None):
     """The ack as a plain event: exact only when sent at the arrival."""
     sim.schedule_at_ns(arrive_ns + delay_ns, engine.PACKET_ARRIVAL, deliver, label)
 
@@ -56,8 +92,20 @@ def naive_fold_outputs(cfg):
         return outputs(cfg)
 
 
-def config(prop_ms, flows, buffer_pkts=100, horizon_s=10.0):
+def acceptance_relay_outputs(cfg):
+    """The ack relayed through the arrival as if scheduled at acceptance."""
+    def relay(sim, arrive_ns, delay_ns, deliver, label="", finish_ns=None):
+        network.return_path_send(sim, arrive_ns, delay_ns, deliver, label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "return_path_send", relay)
+        return outputs(cfg)
+
+
+def config(prop_ms, flows, buffer_pkts=100, horizon_s=10.0, tx_us=1200):
+    """A scenario whose 1500 B packets take tx_us to serialize."""
     return ScenarioConfig(
+        capacity_bps=1500 * 8 / (tx_us / 1e6),
         fwd_prop_delay_s=prop_ms / 1000.0, buffer_pkts=buffer_pkts,
         horizon_s=horizon_s,
         flows=[FlowConfig(proto, {}, extra_return_delay_s=extra_ms / 1000.0,
@@ -65,9 +113,10 @@ def config(prop_ms, flows, buffer_pkts=100, horizon_s=10.0):
                for proto, extra_ms, start_ms in flows])
 
 
-# A sample tick scheduled after a packet finished serializing but before it
+# A sample tick scheduled after the link accepted a packet but before it
 # arrived ties with its ack when ret < 100 ms < ret + prop, where ret =
 # prop + extra is the return delay; the relay must keep the tick first.
+# The serialization time runs from 1 µs up to the bound.
 @st.composite
 def scenarios(draw):
     prop_ms = draw(st.integers(min_value=2, max_value=90))
@@ -78,10 +127,18 @@ def scenarios(draw):
                                          max(0, 99 - prop_ms)))),
               draw(st.integers(0, 300)))
              for _ in range(n)]
+    bound_us = 1000 * min(100, prop_ms + min(extra for _, extra, _ in flows))
+    # each decade from 1 µs is as likely as any other
+    decade = draw(st.integers(0, 4))
+    tx_us = draw(st.integers(min(10 ** decade, bound_us - 1),
+                             min(10 ** (decade + 1), bound_us - 1)))
     buffer_pkts = draw(st.integers(min_value=1, max_value=20))
-    # a horizon in µs: packets serialized before it may arrive after it
-    horizon_s = draw(st.integers(400_000, 2_500_000)) / 1e6
-    return config(prop_ms, flows, buffer_pkts, horizon_s)
+    # a horizon in µs: packets serialized before it may arrive after it. A
+    # fast link over seconds costs millions of events, so past 0.4 s the
+    # horizon is held to 20,000 serialization times.
+    horizon_us = draw(st.integers(400_000, 2_500_000))
+    horizon_s = min(horizon_us, 400_000 + 20_000 * tx_us) / 1e6
+    return config(prop_ms, flows, buffer_pkts, horizon_s, tx_us)
 
 
 @settings(deadline=None)
@@ -97,3 +154,37 @@ def test_ack_and_sample_tick_tie_at_60_ms():
     # the directed case is sharp: without the relay the tie breaks the
     # other way and the cwnd trace moves
     assert naive_fold_outputs(cfg) != reference
+
+
+# Beyond the bound the rule is kept, and ties break the other way. Both
+# cases below pin where outputs move, so that the README cannot go stale.
+
+def test_serialization_longer_than_the_sample_period():
+    # A tick at the nanosecond a waiting packet starts serializing was
+    # scheduled 100 ms earlier, and the reference's TransmissionComplete
+    # that starts the packet 110 ms earlier. That event dispatches first,
+    # so the reference's tick no longer counts the packet as waiting. Only
+    # the queue trace moves: an enqueue at that nanosecond comes from an
+    # ack scheduled 425 ms earlier, which sees the packet waiting in both.
+    cfg = config(25, [("reno", 400, 0), ("ledbat", 400, 0)], buffer_pkts=8,
+                 horizon_s=20.0, tx_us=110_000)
+    row, cwnd, queue = outputs(cfg)
+    reference = reference_outputs(cfg)
+    assert (row, cwnd) == reference[:2]
+    assert queue != reference[2]
+
+
+def test_return_delay_of_one_sample_period():
+    # The propagation and return delays are both 100 ms, so the ticks at a
+    # packet's finish F, its arrival F + 100 ms and its ack F + 200 ms each
+    # schedule the next. The reference's TransmissionComplete at F was
+    # scheduled less than 100 ms earlier, so it follows the tick at F, and
+    # so do the arrival event it schedules and the ack: the ack goes after
+    # its tick. A relay that counted as scheduled at acceptance would go
+    # ahead of a tick scheduled after it, and swap ack and tick.
+    cfg = config(100, [("reno", 0, 0), ("ledbat", 0, 0)], horizon_s=10.0)
+    reference = reference_outputs(cfg)
+    assert outputs(cfg) == reference
+    moved = acceptance_relay_outputs(cfg)
+    assert moved[0] == reference[0]
+    assert moved[1] != reference[1] and moved[2] != reference[2]

@@ -283,6 +283,31 @@ def test_relay_dispatches_like_a_handler_scheduling_at_via(ops):
     assert _play_relays(ops, relay=True) == _play_relays(ops, relay=False)
 
 
+def test_relay_by_counts_as_scheduled_last_at_by():
+    sim = Simulator()
+    fired = []
+
+    def at(t_s, fn):
+        sim.schedule_at_ns(to_ns(t_s), "K", fn)
+
+    def record(name):
+        return lambda: fired.append((sim.now, name))
+
+    # two chains through 2.0 to 3.0, their links scheduled at 1.0 and 1.5
+    at(1.0, lambda: at(2.0, lambda: at(3.0, record("by 1.0"))))
+    at(1.5, lambda: at(2.0, lambda: at(3.0, record("by 1.5"))))
+    sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", record("relay"),
+                    by_ns=to_ns(1.0))
+    sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", record("relay now"))
+    stats = sim.run_until(4.0)
+    # the relay counts as scheduled at 1.0 after the chain link scheduled
+    # then, and before the one scheduled at 1.5; a plain relay counts as
+    # scheduled now, at 0
+    assert fired == [(3.0, "relay now"), (3.0, "by 1.0"), (3.0, "relay"),
+                     (3.0, "by 1.5")]
+    assert (stats.events_processed, stats.pending) == (8, 0)
+
+
 def test_relay_is_one_pending_event_and_its_step_is_not_processed():
     sim = Simulator()
     fired = []
@@ -317,3 +342,9 @@ def test_relay_to_before_its_step_raises():
     sim.run_until(1.0)
     with pytest.raises(ScheduleInPastError):
         sim.relay_at_ns(to_ns(0.5), to_ns(3.0), "K", lambda: None)
+    for by_s in (0.5, 2.5):  # by before now, or after the step
+        with pytest.raises(ScheduleInPastError):
+            sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", lambda: None,
+                            by_ns=to_ns(by_s))
+    stats = sim.run_until(4.0)
+    assert (stats.events_processed, stats.pending) == (0, 0)

@@ -308,6 +308,28 @@ def test_run_sweep_value_too_large_for_a_float_is_a_config_error():
         run_sweep(spec)
 
 
+_LONG = 10**5000  # an int past Python's 4,300-digit printing limit
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ScenarioConfig(horizon_s=_LONG, flows=[FlowConfig("reno")]).validate(),
+     "^horizon_s must be finite and positive, got <int of 5001 digits>$"),
+    (lambda: run_sweep(SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s",
+                                 [-_LONG])),
+     "^sweep point <int of 5001 digits>: horizon_s must be"),
+    (lambda: ScenarioConfig(flows=[FlowConfig("lp", {"alpha": _LONG})]).validate(),
+     r"^flows\.0\.params: alpha must be in \(0, 1\], got <int of 5001 digits>$"),
+    (lambda: ScenarioConfig(flows=[FlowConfig("reno", {"x": _LONG})]).validate(),
+     "^flows.0.params: reno takes no parameters: <dict holding an int too long"),
+    (lambda: ScenarioConfig(flows=[_LONG]).validate(),
+     "^flows must be a list of flow configs, got <list holding an int too long"),
+], ids=["scenario-field", "sweep-value", "controller-param", "reno-params",
+        "flows"])
+def test_int_too_long_to_print_is_a_config_error_naming_the_field(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
 def test_run_sweep_builds_each_controller_once_per_run(monkeypatch):
     # one 2-flow fig2_gain point: validation builds both controllers once,
     # and each run builds its own

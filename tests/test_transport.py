@@ -246,4 +246,25 @@ def test_flow_drains_when_window_closes():
     # every packet ever sent has been delivered; nothing is in flight
     assert f.in_network == 0
     assert f.packets_sent == f.delivered_pkts
-    assert not link.queue and link.in_service is None
+    assert link.backlog() == 0
+    assert link._finish_ns < sim.now_ns  # the link went idle
+
+
+def test_packets_arriving_after_the_horizon_stay_in_the_network():
+    sim, link, f = make_flow(buffer_pkts=20)
+    f.horizon_ns = 2_000_000_000
+    arrivals = []
+
+    def receive(p, at_ns, finish_ns):
+        arrivals.append(at_ns)
+        f.on_data_arrival(p, at_ns, finish_ns)
+
+    link.connect(0, receive, f.pkt_size)
+    f.start()
+    sim.run_until(2.0)
+    late = sum(1 for t in arrivals if t > f.horizon_ns)
+    # a window in flight at the horizon, losses included
+    assert late > 1 and f.packets_dropped > 0
+    assert f.in_network == late
+    assert f.delivered_pkts == len(arrivals) - late
+    assert conservation_ok(f)
