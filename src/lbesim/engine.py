@@ -33,19 +33,15 @@ class SimulationFault(RuntimeError):
 
 
 # A handle is the list [at_ns, seq, kind, fn, label]: the key the event
-# dispatches at, then what it calls; a relay's adds one more (see
-# relay_at_ns). A heap entry whose key no longer matches its handle's is
-# stale. seq is SPENT once the event fired or was cancelled, and RELAYED
-# while a relay waits at its first key.
+# dispatches at, then what it calls. A heap entry whose key no longer
+# matches its handle's is stale. seq is SPENT once the event fired or was
+# cancelled.
 SPENT = -1
-RELAYED = -2
 # A schedule made at now_ns gets the sequence number (now_ns << SEQ_BITS)
-# + n, n counting every schedule so far, so ties break in the order the
-# schedules were made, and each sequence number tells when it was given.
-# n stays below LATE; the numbers from LATE up in a nanosecond's range are
-# left for relays that count as scheduled after everything else then.
+# + n, n counting every schedule so far (and staying below 1 << SEQ_BITS),
+# so ties break in the order the schedules were made, and each sequence
+# number tells when it was given.
 SEQ_BITS = 40
-LATE = 1 << (SEQ_BITS - 1)
 
 
 @dataclass
@@ -66,6 +62,7 @@ class Simulator:
         self.now_ns = 0
         self.now = 0.0
         self._heap = []
+        self._stamp = 0      # now_ns << SEQ_BITS, the time part of a new seq
         self._seq = 0
         self._live = 0       # scheduled minus cancelled, fired ones included
         self._processed = 0
@@ -83,35 +80,30 @@ class Simulator:
             raise ScheduleInPastError(
                 "cannot schedule %s at t=%dns before now=%dns" % (kind, at_ns, self.now_ns)
             )
-        seq = (self.now_ns << SEQ_BITS) + self._seq
+        seq = self._stamp + self._seq
         self._seq += 1
         self._live += 1
         ev = [at_ns, seq, kind, fn, label]
         heappush(self._heap, (at_ns, seq, ev))
         return ev
 
-    def relay_at_ns(self, via_ns, at_ns, kind, fn, label="", by_ns=None):
-        """Dispatch fn() at at_ns as if a handler at via_ns scheduled it, and
-        return its handle. Needs via_ns <= at_ns. That handler's event
-        counts as scheduled now, or with by_ns (now <= by_ns <= via_ns) as
-        scheduled at by_ns after everything else scheduled then.
-
-        The entry is scheduled at via_ns now, so it takes the heap slot and
-        the sequence number that handler's event would take; with by_ns,
-        when it surfaces, it first gives way to any entry at via_ns given
-        its sequence number by then. When it surfaces at via_ns it
-        re-enters the heap under at_ns and the sequence number a schedule
-        made at that moment gets, which is the key the handler would have
-        given fn. Nothing is dispatched at via_ns and the step is not
-        counted as processed; the event counts once as pending throughout."""
-        if at_ns < via_ns or by_ns is not None and not self.now_ns <= by_ns <= via_ns:
-            raise ScheduleInPastError("cannot relay %s to t=%dns from t=%dns by t=%s"
-                                      % (kind, at_ns, via_ns, by_ns))
-        ev = self.schedule_at_ns(via_ns, kind, fn, label)
-        ev[0] = at_ns
-        ev[1] = RELAYED
-        ev.append(None if by_ns is None else (by_ns << SEQ_BITS) + LATE + self._seq)
-        return ev
+    def schedule_from_ns(self, from_ns, at_ns, kind, fn, label=""):
+        """Schedule fn() at at_ns under the key a handler running at from_ns
+        would give it as the last thing it scheduled (now <= from_ns <=
+        at_ns), and return its handle. Its sequence number is that of a
+        schedule made first at from_ns + 1, so it orders after every
+        schedule made by from_ns and before every one made later. Like every
+        schedule it goes through schedule_at_ns, and the event is then like
+        any other, pushed once under its final key."""
+        if not self.now_ns <= from_ns <= at_ns:
+            raise ScheduleInPastError("cannot schedule %s at t=%dns from t=%dns"
+                                      % (kind, at_ns, from_ns))
+        stamp = self._stamp
+        self._stamp = (from_ns + 1) << SEQ_BITS
+        try:
+            return self.schedule_at_ns(at_ns, kind, fn, label)
+        finally:
+            self._stamp = stamp
 
     def reschedule(self, ev, at_ns, kind, fn, label=""):
         """Dispatch like cancel(ev) followed by schedule_at_ns(at_ns, kind,
@@ -122,12 +114,12 @@ class Simulator:
         new deadline and the sequence number a fresh schedule would get
         now, and its old heap entry, which surfaces first, re-enters the
         heap under that key. Ties at equal times therefore break exactly as
-        with a fresh schedule. A move to an earlier time, or of a relay,
-        cancels and schedules anew."""
+        with a fresh schedule. A move to an earlier time cancels and
+        schedules anew."""
         if ev is not None and ev[1] != SPENT:
-            if ev[1] >= 0 and at_ns >= ev[0]:
+            if at_ns >= ev[0]:
                 ev[0] = at_ns
-                ev[1] = (self.now_ns << SEQ_BITS) + self._seq
+                ev[1] = self._stamp + self._seq
                 self._seq += 1
                 return ev
             self.cancel(ev)
@@ -161,28 +153,16 @@ class Simulator:
             if at_ns > t_end_ns:
                 break
             if ev[1] != seq:
-                seq = ev[1]
-                if seq == RELAYED:
-                    late = ev[5]
-                    if late is not None:  # by_ns: entries here numbered by then go first
-                        ev[5] = None
-                        n = len(heap)
-                        if (n > 1 and heap[1][0] == at_ns and heap[1][1] < late
-                                or n > 2 and heap[2][0] == at_ns and heap[2][1] < late):
-                            heapreplace(heap, (at_ns, late, ev))
-                            continue
-                    # take the key a schedule made now gets
-                    seq = ev[1] = (at_ns << SEQ_BITS) + self._seq
-                    self._seq += 1
-                elif seq < 0:
+                if ev[1] == SPENT:
                     heappop(heap)
-                    continue
-                heapreplace(heap, (ev[0], seq, ev))  # moved later or relayed
+                else:  # moved later: re-enter under the new key
+                    heapreplace(heap, (ev[0], ev[1], ev))
                 continue
             heappop(heap)
             ev[1] = SPENT
             self.now_ns = at_ns
             self.now = at_ns / NS_PER_S
+            self._stamp = at_ns << SEQ_BITS
             processed += 1
             if trace is not None:
                 trace("%.9f %s %s" % (self.now, ev[2], ev[4]))
@@ -197,5 +177,6 @@ class Simulator:
         self._processed = processed
         self.now_ns = t_end_ns
         self.now = t_end_ns / NS_PER_S
+        self._stamp = t_end_ns << SEQ_BITS
         return RunStats(events_processed=processed,
                         pending=self._live - processed)

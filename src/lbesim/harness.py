@@ -211,6 +211,12 @@ def load_scenario(text):
     """Parse and validate a key=value scenario document. Each key is a field
     path, except that the text gives the two delays in ms. Unknown keys are
     rejected; errors carry the offending line number or field name."""
+    return _validated(*_parse_scenario(text))
+
+
+def _parse_scenario(text):
+    """The config a scenario document sets, not yet validated, and the line
+    that set each field."""
     ms_names = {"fwd_prop_delay_ms": "fwd_prop_delay_s",
                 "extra_return_delay_ms": "extra_return_delay_s"}
     cfg = ScenarioConfig(flows=defaultdict(lambda: FlowConfig(protocol="reno")))
@@ -241,6 +247,12 @@ def load_scenario(text):
     if indices != list(range(len(indices))):
         raise ConfigError("flow indices must be contiguous from 0")
     cfg.flows = [cfg.flows[i] for i in indices]
+    return cfg, lines
+
+
+def _validated(cfg, lines):
+    """cfg validated, with an error naming the line that set the field at
+    fault."""
     try:
         return cfg.validate()
     except ConfigError as exc:
@@ -401,7 +413,9 @@ def sweep_csv(points):
 def load_sweep(text):
     """Parse a sweep spec document: axis=, values= (comma separated) and
     optional repeat=, on top of an ordinary scenario config. Every point
-    is validated before any runs; errors name the line at fault."""
+    is validated before any runs; errors name the line at fault. The base
+    config is validated only when a point fails, to tell whose line that
+    is: a value every point overrides is never run."""
     axis = values = None
     repeat = 1
     values_line = None
@@ -427,12 +441,13 @@ def load_sweep(text):
                 raise ConfigError("line %d: repeat must be at least 1" % lineno)
     if axis is None or not values:
         raise ConfigError("sweep spec needs axis= and values=")
-    base = load_scenario("\n".join(config_lines))
+    base, lines = _parse_scenario("\n".join(config_lines))
     spec = SweepSpec(base=base, axis=axis, values=values, repeat=repeat)
     for value in values:
         try:
             spec.point_config(value).validate()
         except ConfigError as exc:
+            _validated(base, lines)
             raise ConfigError("line %d: %s=%r: %s" % (values_line, axis, value, exc),
                               key=exc.key) from exc
     return spec

@@ -12,7 +12,8 @@ congestion lives in the forward buffer.
 The link schedules no event: a fixed-rate FIFO fixes a packet's times when
 it accepts it (Lindley's recursion). Its service starts at max(now, the
 previous packet's finish), and it arrives one serialization time and one
-propagation delay later.
+propagation delay later. The receiver's ack is the one event a delivered
+packet costs (see return_path_send).
 """
 
 from collections import deque
@@ -28,8 +29,8 @@ class BottleneckLink:
     saturation. Only the sum and the peak are kept.
 
     An accepted packet is handed over at once, as receive(packet,
-    arrival_ns, finish_ns) of the flow's route (see connect), and the
-    receiver schedules what the arrival causes (see return_path_send).
+    arrival_ns) of the flow's route (see connect), and the receiver
+    schedules what the arrival causes (see return_path_send).
     """
 
     def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
@@ -41,7 +42,7 @@ class BottleneckLink:
         self.backlog_peak = 0
         self.total_enqueued = 0
         self.total_dropped = 0
-        self._finish_ns = -1      # when the last accepted packet finishes
+        self._busy_until = -1    # ns when the last accepted packet finishes
         self._starts = deque()    # service start of each waiting packet, in ns
         self._prop_ns = engine.to_ns(self.prop_delay_s)
         self._routes = {}  # flow id -> (receive, serialization ns); see connect
@@ -51,7 +52,7 @@ class BottleneckLink:
 
     def connect(self, flow_id, receive, size_bytes):
         """Hand flow_id's packets, each size_bytes long, to receive(packet,
-        arrival_ns, finish_ns) when the link accepts them."""
+        arrival_ns) when the link accepts them."""
         self._routes[flow_id] = (
             receive, engine.to_ns(self.serialization_s(size_bytes)))
 
@@ -77,25 +78,24 @@ class BottleneckLink:
             return False
         self.total_enqueued += 1
         receive, tx_ns = self._routes[p[0]]
-        start = self._finish_ns
+        start = self._busy_until
         if start < self.sim.now_ns:  # idle: straight to the transmitter
             start = self.sim.now_ns
         else:                        # busy until start, the last finish
             self._starts.append(start)
-        finish = self._finish_ns = start + tx_ns
-        receive(p, finish + self._prop_ns, finish)
+        finish = self._busy_until = start + tx_ns
+        receive(p, finish + self._prop_ns)
         return True
 
 
-def return_path_send(sim, arrive_ns, delay_ns, deliver, label="",
-                     finish_ns=None):
+def return_path_send(sim, arrive_ns, delay_ns, deliver, label=""):
     """Call deliver() `delay_ns` nanoseconds after a data packet's arrival
     at `arrive_ns`, which may be later than now: the return path has no
     queue and no loss.
 
-    The ack is relayed through the arrival time (Simulator.relay_at_ns),
-    so it dispatches exactly as if an event at the arrival had sent it,
-    one scheduled when the packet finished serializing at `finish_ns`, as
-    the last thing then (see README, Event core)."""
-    sim.relay_at_ns(arrive_ns, arrive_ns + delay_ns, engine.PACKET_ARRIVAL,
-                    deliver, label, finish_ns)
+    The ack is scheduled once, under the key a handler at the arrival would
+    give it as the last thing it scheduled then (Simulator.schedule_from_ns),
+    so it dispatches as if an event at the arrival had sent it (see README,
+    Event core)."""
+    sim.schedule_from_ns(arrive_ns, arrive_ns + delay_ns, engine.PACKET_ARRIVAL,
+                         deliver, label)

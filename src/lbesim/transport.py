@@ -146,12 +146,12 @@ class FlowEndpoint:
 
     # -- receiver side ---------------------------------------------------
 
-    def on_data_arrival(self, p, at_ns, finish_ns=None):
+    def on_data_arrival(self, p, at_ns):
         """Receiver: accept a data packet (flow_id, seq, sent_at) that
         arrives at at_ns and ack it then, echoing the sender timestamp and
         the measured one-way delay. The link calls this when it accepts the
-        packet, which finishes serializing at finish_ns; the ack still
-        leaves at at_ns (see return_path_send)."""
+        packet, so it runs ahead of at_ns; the ack still leaves at at_ns,
+        counted as the last thing scheduled then (see return_path_send)."""
         if at_ns > self.horizon_ns:
             return
         _, seq, sent_at = p
@@ -172,7 +172,7 @@ class FlowEndpoint:
             self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
         self._acks.append((self.rx_next, now - sent_at, sent_at))
         return_path_send(self.sim, at_ns, self._return_ns, self._ack_handler,
-                         self._ack_label, finish_ns)
+                         self._ack_label)
 
     def _ack_arrive(self):
         # acks of one flow share one return delay, so they land in the

@@ -1,12 +1,15 @@
 """Event loop unit tests: ordering, FIFO ties, cancellation, fault
-wrapping, the integer-nanosecond clock, lazy moves and relays."""
+wrapping, the integer-nanosecond clock, lazy moves and acks scheduled from
+their data arrival."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lbesim import engine
 from lbesim.engine import (NS_PER_S, ScheduleInPastError, SimulationFault,
                            Simulator, to_ns)
+from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 
 
 def test_to_ns_is_integer_and_rounds():
@@ -235,15 +238,43 @@ def test_reschedule_earlier_or_spent_schedules_anew():
     assert fired == ["new", "again"]
 
 
-# -- relays (the ack sent from a data arrival) --------------------------------
+# -- an ack scheduled from its data arrival (schedule_from_ns) -------------
 
-def _play_relays(ops, relay):
-    """Apply event/relay/run steps. An event's handler records itself and
-    schedules a follow-up, so handlers take sequence numbers while relays
-    wait. A relay uses relay_at_ns when `relay`, else a real event at
-    via_ns whose handler schedules the target. Returns the dispatched
+class ListScheduler:
+    """Reference for the dispatch order: a pending list searched for its
+    least key (time, when scheduled, late, count). A schedule from
+    from_ns counts as made at from_ns after everything else made then."""
+
+    def __init__(self):
+        self.now_ns = 0
+        self.pending = []
+
+    def _push(self, at_ns, made_ns, late, fn):
+        self.pending.append(((at_ns, made_ns, late, len(self.pending)), fn))
+
+    def schedule_at_ns(self, at_ns, kind, fn):
+        self._push(at_ns, self.now_ns, 0, fn)
+
+    def schedule_from_ns(self, from_ns, at_ns, kind, fn):
+        self._push(at_ns, from_ns, 1, fn)
+
+    def run_until(self, t_end_s):
+        t_end_ns = to_ns(t_end_s)
+        while self.pending:
+            item = min(self.pending, key=lambda kv: kv[0])
+            if item[0][0] > t_end_ns:
+                break
+            self.pending.remove(item)
+            self.now_ns = item[0][0]
+            item[1]()
+        self.now_ns = t_end_ns
+
+
+def _play_from(sim, ops):
+    """Apply event/from/run steps to sim. An event's handler records itself
+    and schedules a follow-up, so handlers schedule while acks wait; a
+    `from` step schedules from a time ahead. Returns the dispatched
     (time_ns, label) sequence of the recording handlers."""
-    sim = Simulator()
     fired = []
 
     def record(label):
@@ -259,92 +290,87 @@ def _play_relays(ops, relay):
         d1, d2 = d1_us * 1000, d2_us * 1000
         if op == "event":
             sim.schedule_at_ns(sim.now_ns + d1, "K", event(str(i), d2))
-        elif op == "relay" and relay:
-            via = sim.now_ns + d1
-            sim.relay_at_ns(via, via + d2, "K", record(str(i)))
-        elif op == "relay":
-            via = sim.now_ns + d1
-            fn = record(str(i))
-            sim.schedule_at_ns(
-                via, "K", lambda at=via + d2, fn=fn: sim.schedule_at_ns(at, "K", fn))
+        elif op == "from":
+            sim.schedule_from_ns(sim.now_ns + d1, sim.now_ns + d1 + d2, "K",
+                                 record(str(i)))
         else:
             sim.run_until((sim.now_ns + d1) / NS_PER_S)
-    sim.run_until(sim.now + 1.0)
+    sim.run_until(sim.now_ns / NS_PER_S + 1.0)
     return fired
 
 
-@given(st.lists(st.tuples(st.sampled_from(["event", "relay", "run"]),
+@given(st.lists(st.tuples(st.sampled_from(["event", "from", "run"]),
                           st.integers(min_value=0, max_value=6),
                           st.integers(min_value=0, max_value=6)),
                 max_size=80))
-def test_relay_dispatches_like_a_handler_scheduling_at_via(ops):
-    # microsecond steps of 0..6 tie relays, their targets and the events
-    # (and follow-ups) that handlers schedule in between
-    assert _play_relays(ops, relay=True) == _play_relays(ops, relay=False)
+def test_schedule_from_dispatches_like_the_last_schedule_made_then(ops):
+    # microsecond steps of 0..6 tie acks, the times they are scheduled
+    # from, and the events (and follow-ups) that handlers schedule then
+    assert _play_from(Simulator(), ops) == _play_from(ListScheduler(), ops)
 
 
-def test_relay_by_counts_as_scheduled_last_at_by():
+def test_schedule_from_orders_after_that_nanosecond_and_before_the_next():
     sim = Simulator()
     fired = []
-
-    def at(t_s, fn):
-        sim.schedule_at_ns(to_ns(t_s), "K", fn)
 
     def record(name):
-        return lambda: fired.append((sim.now, name))
+        return lambda: fired.append((sim.now_ns, name))
 
-    # two chains through 2.0 to 3.0, their links scheduled at 1.0 and 1.5
-    at(1.0, lambda: at(2.0, lambda: at(3.0, record("by 1.0"))))
-    at(1.5, lambda: at(2.0, lambda: at(3.0, record("by 1.5"))))
-    sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", record("relay"),
-                    by_ns=to_ns(1.0))
-    sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", record("relay now"))
+    def schedule_at(at_ns, name):
+        return lambda: sim.schedule_at_ns(at_ns, "K", record(name))
+
+    # handlers at 2.0 s and 1 ns later schedule at 3.0 s; the ack counts as
+    # scheduled last at 2.0 s, though it was scheduled at 0
+    sim.schedule_at_ns(to_ns(2.0), "K", schedule_at(to_ns(3.0), "at 2.0"))
+    sim.schedule_at_ns(to_ns(2.0) + 1, "K", schedule_at(to_ns(3.0), "1 ns later"))
+    sim.schedule_from_ns(to_ns(2.0), to_ns(3.0), "K", record("ack"))
+    sim.schedule_at_ns(to_ns(2.0), "K", schedule_at(to_ns(3.0), "at 2.0, later"))
     stats = sim.run_until(4.0)
-    # the relay counts as scheduled at 1.0 after the chain link scheduled
-    # then, and before the one scheduled at 1.5; a plain relay counts as
-    # scheduled now, at 0
-    assert fired == [(3.0, "relay now"), (3.0, "by 1.0"), (3.0, "relay"),
-                     (3.0, "by 1.5")]
-    assert (stats.events_processed, stats.pending) == (8, 0)
+    assert fired == [(to_ns(3.0), "at 2.0"), (to_ns(3.0), "at 2.0, later"),
+                     (to_ns(3.0), "ack"), (to_ns(3.0), "1 ns later")]
+    assert (stats.events_processed, stats.pending) == (7, 0)
 
 
-def test_relay_is_one_pending_event_and_its_step_is_not_processed():
+def test_schedule_from_is_an_ordinary_pending_event():
     sim = Simulator()
     fired = []
-    h = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(sim.now))
-    assert sim.pending(h)
-    stats = sim.run_until(0.5)
-    assert (stats.events_processed, stats.pending) == (0, 1)
-    stats = sim.run_until(1.5)  # the relay step happened at 1.0
-    assert (stats.events_processed, stats.pending) == (0, 1)
-    assert sim.pending(h) and fired == []
+    h = sim.schedule_from_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(sim.now))
+    kept = sim.schedule_from_ns(to_ns(1.0), to_ns(2.5), "K", lambda: fired.append(sim.now))
+    gone = sim.schedule_from_ns(to_ns(1.0), to_ns(2.5), "K", lambda: fired.append(0))
+    assert sim.pending(h) and len(h) == 5
+    stats = sim.run_until(1.5)  # nothing happens at the time it is from
+    assert (stats.events_processed, stats.pending) == (0, 3)
+    assert sim.cancel(gone) is True and sim.cancel(gone) is False
     stats = sim.run_until(3.0)
-    assert (stats.events_processed, stats.pending) == (1, 0)
-    assert fired == [2.0] and not sim.pending(h)
+    assert fired == [2.0, 2.5] and not sim.pending(h) and not sim.pending(kept)
+    assert (stats.events_processed, stats.pending) == (2, 0)
+    assert sim.cancel(h) is False
 
 
-def test_cancelled_relay_never_fires_before_or_after_its_step():
-    sim = Simulator()
-    fired = []
-    before = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(1))
-    after = sim.relay_at_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(2))
-    assert sim.cancel(before) is True
-    sim.run_until(1.5)
-    assert sim.cancel(after) is True and sim.cancel(after) is False
-    stats = sim.run_until(3.0)
-    assert fired == [] and (stats.events_processed, stats.pending) == (0, 0)
-
-
-def test_relay_to_before_its_step_raises():
+def test_schedule_from_outside_now_to_at_raises():
     sim = Simulator()
     with pytest.raises(ScheduleInPastError):
-        sim.relay_at_ns(to_ns(2.0), to_ns(1.0), "K", lambda: None)
+        sim.schedule_from_ns(to_ns(2.0), to_ns(1.0), "K", lambda: None)
     sim.run_until(1.0)
     with pytest.raises(ScheduleInPastError):
-        sim.relay_at_ns(to_ns(0.5), to_ns(3.0), "K", lambda: None)
-    for by_s in (0.5, 2.5):  # by before now, or after the step
-        with pytest.raises(ScheduleInPastError):
-            sim.relay_at_ns(to_ns(2.0), to_ns(3.0), "K", lambda: None,
-                            by_ns=to_ns(by_s))
+        sim.schedule_from_ns(to_ns(0.5), to_ns(3.0), "K", lambda: None)
+    sim.schedule_from_ns(to_ns(1.0), to_ns(1.0), "K", lambda: None)  # both now
     stats = sim.run_until(4.0)
-    assert (stats.events_processed, stats.pending) == (0, 0)
+    assert (stats.events_processed, stats.pending) == (1, 0)
+
+
+def test_acks_are_pushed_once_and_only_moved_rto_timers_re_key(monkeypatch):
+    # every ack enters the heap under its final key; the one re-keying
+    # left is an RTO deadline moved later (Simulator.reschedule)
+    rekeyed = []
+    real = engine.heapreplace
+
+    def counting(heap, item):
+        rekeyed.append(item[2][2])
+        return real(heap, item)
+
+    monkeypatch.setattr(engine, "heapreplace", counting)
+    cfg = ScenarioConfig(horizon_s=2.0, flows=[FlowConfig("reno"), FlowConfig("reno")])
+    result = run_scenario(cfg)
+    assert result.report.csv_row()
+    assert rekeyed and set(rekeyed) == {engine.RTO_TIMER}

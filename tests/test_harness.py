@@ -349,6 +349,21 @@ def test_run_sweep_builds_each_controller_once_per_run(monkeypatch):
     assert len({id(ctl) for ctl in built}) == 6  # fresh for every run
 
 
+def test_cli_sweep_builds_no_controllers_for_the_base_config(tmp_path, monkeypatch):
+    # one 2-flow point: loading the spec validates it once, run_sweep
+    # validates it again before any run, and the run builds its own; the
+    # base config alone is never validated
+    spec = write(tmp_path, "sweep.cfg",
+                 "axis=flows.1.params.tau_ms\nvalues=25\nhorizon_s=0.5\n"
+                 "flows.0.protocol=reno\nflows.1.protocol=ledbat\n")
+    built = []
+    make_controller = harness.make_controller
+    monkeypatch.setattr(harness, "make_controller",
+                        lambda *a: built.append(make_controller(*a)) or built[-1])
+    assert cli.main(["sweep", spec, "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 6
+
+
 def test_run_sweep_repeat_marks_reps():
     base = short_cfg("reno", horizon=1.0)
     spec = SweepSpec(base, "horizon_s", [1.0], repeat=2)

@@ -33,7 +33,7 @@ def test_first_packet_arrives_after_serialization_plus_propagation():
     sim = Simulator()
     link = make_link(sim)
     handed = []
-    link.connect(0, lambda p, at_ns, finish_ns: handed.append((sim.now, at_ns, p[1])),
+    link.connect(0, lambda p, at_ns: handed.append((sim.now, at_ns, p[1])),
                  1500)
     assert link.enqueue(pkt(0)) is True
     sim.run_until(1.0)
@@ -45,7 +45,7 @@ def test_back_to_back_packets_are_spaced_by_serialization():
     sim = Simulator()
     link = make_link(sim)
     arrivals = []
-    link.connect(0, lambda p, at_ns, finish_ns: arrivals.append((at_ns / NS_PER_S, p[1])),
+    link.connect(0, lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p[1])),
                  1500)
     for i in range(3):
         link.enqueue(pkt(i))
@@ -60,7 +60,7 @@ def test_back_to_back_packets_are_spaced_by_serialization():
 def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=5)
-    link.connect(0, lambda p, at_ns, finish_ns: None, 1500)
+    link.connect(0, lambda p, at_ns: None, 1500)
     accepted = [link.enqueue(pkt(i)) for i in range(7)]
     # packet 0 moves straight to the transmitter and frees its slot, the
     # next five fill the buffer, the seventh is tail-dropped
@@ -80,7 +80,7 @@ def test_dropped_packet_is_never_delivered():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
     arrivals = []
-    link.connect(0, lambda p, at_ns, finish_ns: arrivals.append(p[1]), 1500)
+    link.connect(0, lambda p, at_ns: arrivals.append(p[1]), 1500)
     for i in range(5):
         link.enqueue(pkt(i))
     sim.run_until(1.0)
@@ -92,26 +92,25 @@ def test_queue_drains_and_link_goes_idle():
     sim = Simulator()
     link = make_link(sim)
     handed = []
-    link.connect(0, lambda p, at_ns, finish_ns: handed.append((at_ns, finish_ns)),
-                 1500)
+    link.connect(0, lambda p, at_ns: handed.append(at_ns), 1500)
     for i in range(4):
         link.enqueue(pkt(i))
     assert link.backlog() == 3
     sim.run_until(3_600_001 / NS_PER_S)  # the last one started at 3.6 ms
     assert link.backlog() == 0
     sim.run_until(4_800_000 / NS_PER_S)  # and finishes at 4.8 ms: still busy
-    link.enqueue(pkt(4))
-    assert handed[-1] == (31_000_000, 6_000_000)
+    link.enqueue(pkt(4))  # queues behind it: finishes at 6.0 ms
+    assert handed[-1] == 31_000_000
     sim.run_until(1.0)
     assert link.backlog() == 0
     link.enqueue(pkt(5))  # idle: straight to the transmitter
-    assert handed[-1] == (1_026_200_000, 1_001_200_000)
+    assert handed[-1] == 1_026_200_000
 
 
 def test_a_packet_waits_through_the_nanosecond_its_service_starts():
     sim = Simulator()
     link = make_link(sim)
-    link.connect(0, lambda p, at_ns, finish_ns: None, 1500)
+    link.connect(0, lambda p, at_ns: None, 1500)
     link.enqueue(pkt(0))  # straight to the transmitter
     link.enqueue(pkt(1))  # starts when packet 0 finishes, at 1.2 ms
     assert link.backlog() == 1
@@ -143,7 +142,7 @@ def test_return_path_starts_at_the_data_arrival():
 def test_return_path_never_contends_with_forward_traffic():
     sim = Simulator()
     link = make_link(sim, buffer_pkts=2)
-    link.connect(0, lambda p, at_ns, finish_ns: None, 1500)
+    link.connect(0, lambda p, at_ns: None, 1500)
     for i in range(3):  # keep the forward link busy
         link.enqueue(pkt(i))
     arrivals = []

@@ -247,7 +247,7 @@ def test_flow_drains_when_window_closes():
     assert f.in_network == 0
     assert f.packets_sent == f.delivered_pkts
     assert link.backlog() == 0
-    assert link._finish_ns < sim.now_ns  # the link went idle
+    assert link._busy_until < sim.now_ns  # the link went idle
 
 
 def test_packets_arriving_after_the_horizon_stay_in_the_network():
@@ -255,9 +255,9 @@ def test_packets_arriving_after_the_horizon_stay_in_the_network():
     f.horizon_ns = 2_000_000_000
     arrivals = []
 
-    def receive(p, at_ns, finish_ns):
+    def receive(p, at_ns):
         arrivals.append(at_ns)
-        f.on_data_arrival(p, at_ns, finish_ns)
+        f.on_data_arrival(p, at_ns)
 
     link.connect(0, receive, f.pkt_size)
     f.start()
