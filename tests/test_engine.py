@@ -248,9 +248,11 @@ class ListScheduler:
     def __init__(self):
         self.now_ns = 0
         self.pending = []
+        self.count = 0
 
     def _push(self, at_ns, made_ns, late, fn):
-        self.pending.append(((at_ns, made_ns, late, len(self.pending)), fn))
+        self.count += 1
+        self.pending.append(((at_ns, made_ns, late, self.count), fn))
 
     def schedule_at_ns(self, at_ns, kind, fn):
         self._push(at_ns, self.now_ns, 0, fn)
@@ -331,20 +333,36 @@ def test_schedule_from_orders_after_that_nanosecond_and_before_the_next():
     assert (stats.events_processed, stats.pending) == (7, 0)
 
 
-def test_schedule_from_is_an_ordinary_pending_event():
+def test_relay_is_one_pending_event_and_its_step_is_not_processed():
+    # an ack scheduled from its arrival is one ordinary pending event: the
+    # time it is from is no step of its own and processes nothing
     sim = Simulator()
     fired = []
     h = sim.schedule_from_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(sim.now))
     kept = sim.schedule_from_ns(to_ns(1.0), to_ns(2.5), "K", lambda: fired.append(sim.now))
-    gone = sim.schedule_from_ns(to_ns(1.0), to_ns(2.5), "K", lambda: fired.append(0))
     assert sim.pending(h) and len(h) == 5
+    stats = sim.run_until(0.5)
+    assert (stats.events_processed, stats.pending) == (0, 2)
     stats = sim.run_until(1.5)  # nothing happens at the time it is from
-    assert (stats.events_processed, stats.pending) == (0, 3)
-    assert sim.cancel(gone) is True and sim.cancel(gone) is False
+    assert (stats.events_processed, stats.pending) == (0, 2)
+    assert sim.pending(h) and fired == []
     stats = sim.run_until(3.0)
     assert fired == [2.0, 2.5] and not sim.pending(h) and not sim.pending(kept)
     assert (stats.events_processed, stats.pending) == (2, 0)
     assert sim.cancel(h) is False
+
+
+def test_cancelled_relay_never_fires_before_or_after_its_step():
+    # cancelled before or after the time it is scheduled from, an ack never fires
+    sim = Simulator()
+    fired = []
+    before = sim.schedule_from_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(1))
+    after = sim.schedule_from_ns(to_ns(1.0), to_ns(2.0), "K", lambda: fired.append(2))
+    assert sim.cancel(before) is True
+    sim.run_until(1.5)
+    assert sim.cancel(after) is True and sim.cancel(after) is False
+    stats = sim.run_until(3.0)
+    assert fired == [] and (stats.events_processed, stats.pending) == (0, 0)
 
 
 def test_schedule_from_outside_now_to_at_raises():
