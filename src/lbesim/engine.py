@@ -58,6 +58,9 @@ class Simulator:
     equal to now_ns / NS_PER_S. Both are plain attributes that only the
     run loop sets."""
 
+    __slots__ = ("now_ns", "now", "_heap", "_stamp", "_seq", "_live",
+                 "_processed", "trace")
+
     def __init__(self, trace=None):
         self.now_ns = 0
         self.now = 0.0

@@ -41,11 +41,20 @@ def _finite(value):
             and abs(value) <= sys.float_info.max)
 
 
+# The engine keeps time in integer nanoseconds. A time field, and the
+# time one packet takes to serialize, must be at most 2**63 ns (about 292
+# years, the range of a signed 64-bit count), so that none overflows on its
+# way to nanoseconds.
+MAX_TIME_S = 2 ** 63 / engine.NS_PER_S
+
 # kind -> what a field of that kind must hold, in words and as a test
 _KINDS = {
     "positive": ("finite and positive", lambda v: _finite(v) and v > 0),
     "count": ("a positive whole number", lambda v: _finite(v) and v > 0 and v == int(v)),
-    "delay": ("finite and non-negative", lambda v: _finite(v) and v >= 0),
+    "time": ("finite, positive and at most 2**63 ns",
+             lambda v: _finite(v) and 0 < v <= MAX_TIME_S),
+    "delay": ("finite, non-negative and at most 2**63 ns",
+              lambda v: _finite(v) and 0 <= v <= MAX_TIME_S),
     "protocol": ("one of " + ", ".join(PROTOCOLS), lambda v: v in PROTOCOLS),
 }
 
@@ -54,10 +63,10 @@ _KINDS = {
 # checks. validate, load_scenario and set_param all read this table.
 FIELDS = {
     "capacity_bps": "positive",
-    "fwd_prop_delay_s": "positive",
+    "fwd_prop_delay_s": "time",
     "buffer_pkts": "count",
     "pkt_size_bytes": "count",
-    "horizon_s": "positive",
+    "horizon_s": "time",
     "flows.N.protocol": "protocol",
     "flows.N.start_at": "delay",
     "flows.N.extra_return_delay_s": "delay",
@@ -91,6 +100,10 @@ class ScenarioConfig:
         for path, kind in FIELDS.items():
             if not path.startswith("flows."):
                 _check(path, kind, getattr(self, path))
+        _check("capacity_bps", "delay",
+               self.pkt_size_bytes * 8.0 / self.capacity_bps,
+               "the serialization time of one %g-byte packet"
+               % self.pkt_size_bytes)
         if not (isinstance(self.flows, (list, tuple))
                 and all(isinstance(fc, FlowConfig) for fc in self.flows)):
             raise ConfigError("flows must be a list of flow configs, got %s"
@@ -122,10 +135,13 @@ class ScenarioConfig:
             self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts))
 
 
-def _check(path, kind, value):
+def _check(path, kind, value, of=None):
+    """ConfigError naming field `path` unless value holds as a `kind`;
+    `of` says what value is when it is not the field's own."""
     need, ok = _KINDS[kind]
     if not ok(value):
-        raise ConfigError("%s must be %s, got %s" % (path, need, shown(value)), key=path)
+        what = path if of is None else "%s: %s" % (path, of)
+        raise ConfigError("%s must be %s, got %s" % (what, need, shown(value)), key=path)
 
 
 def _field(path):

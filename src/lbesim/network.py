@@ -33,6 +33,11 @@ class BottleneckLink:
     schedules what the arrival causes (see return_path_send).
     """
 
+    __slots__ = ("sim", "capacity_bps", "prop_delay_s", "buffer_pkts",
+                 "backlog_sum", "backlog_peak", "total_enqueued",
+                 "total_dropped", "_busy_until", "_starts", "_prop_ns",
+                 "_routes")
+
     def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
         self.sim = sim
         self.capacity_bps = float(capacity_bps)
@@ -69,7 +74,11 @@ class BottleneckLink:
     def enqueue(self, p):
         """Offer a data packet to the buffer. Returns True if accepted,
         False if it was tail-dropped (discarded silently)."""
-        depth = self.backlog()
+        starts = self._starts
+        now_ns = self.sim.now_ns
+        while starts and starts[0] < now_ns:  # as in backlog()
+            starts.popleft()
+        depth = len(starts)
         self.backlog_sum += depth
         if depth > self.backlog_peak:
             self.backlog_peak = depth
@@ -79,10 +88,10 @@ class BottleneckLink:
         self.total_enqueued += 1
         receive, tx_ns = self._routes[p[0]]
         start = self._busy_until
-        if start < self.sim.now_ns:  # idle: straight to the transmitter
-            start = self.sim.now_ns
-        else:                        # busy until start, the last finish
-            self._starts.append(start)
+        if start < now_ns:  # idle: straight to the transmitter
+            start = now_ns
+        else:               # busy until start, the last finish
+            starts.append(start)
         finish = self._busy_until = start + tx_ns
         receive(p, finish + self._prop_ns)
         return True

@@ -30,6 +30,15 @@ class FlowEndpoint:
     caller sets it: the receiver ignores packets that would arrive after
     it, as a run stopped there never sees them."""
 
+    __slots__ = (
+        "sim", "link", "flow_id", "controller", "pkt_size", "return_delay_s",
+        "start_at", "_return_ns", "label", "_ack_label", "_ack_handler",
+        "_rto_handler", "cwnd", "ssthresh", "snd_next", "snd_una", "rtx_next",
+        "dupacks", "in_recovery", "fractional_credit", "_credit_timer", "srtt",
+        "rttvar", "rto", "rto_backoff", "_rto_timer", "horizon_ns", "rx_next",
+        "rx_ooo", "_acks", "packets_sent", "packets_dropped", "delivered_pkts",
+        "window_bytes", "in_network")
+
     def __init__(self, sim, link, flow_id, controller, pkt_size_bytes=1500,
                  return_delay_s=0.025, start_at=0.0):
         self.sim = sim
@@ -88,24 +97,42 @@ class FlowEndpoint:
 
     # -- sending ---------------------------------------------------------
 
-    def try_send(self):
+    def try_send(self, resend=None):
         """Emit data while the window allows; the source is backlogged and
         never runs out of data. After a timeout the un-acked region is
-        resent go-back-N style before any new data goes out."""
+        resent go-back-N style before any new data goes out. A fast
+        retransmit passes `resend`, the sequence number to send: that one
+        packet goes out whatever the window, and nothing else does.
+
+        Each packet is offered to the link here, and the first one sent
+        with no retransmission timer pending arms it."""
+        enqueue = self.link.enqueue
+        now = self.sim.now
         sent = 0
         window = math.floor(self.cwnd + self.fractional_credit)
+        seq = resend
         while True:
-            if self.rtx_next < self.snd_next:
-                if self.rtx_next - self.snd_una >= window:
-                    break
-                self._emit(self.rtx_next)
-                self.rtx_next += 1
+            if seq is None:
+                if self.rtx_next < self.snd_next:
+                    seq = self.rtx_next
+                    if seq - self.snd_una >= window:
+                        break
+                    self.rtx_next = seq + 1
+                else:
+                    seq = self.snd_next
+                    if seq - self.snd_una >= window:  # in flight
+                        break
+                    self.snd_next = self.rtx_next = seq + 1
+            self.packets_sent += 1
+            if enqueue((self.flow_id, seq, now)):
+                self.in_network += 1
             else:
-                if self.snd_next - self.snd_una >= window:  # in flight
-                    break
-                self._emit(self.snd_next)
-                self.snd_next += 1
-                self.rtx_next = self.snd_next
+                self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
+            if self._rto_timer is None:
+                self._arm_rto()
+            if resend is not None:
+                break
+            seq = None
             sent += 1
             if self.cwnd < 1.0:
                 # a sub-packet window spends one unit of accumulated credit
@@ -115,15 +142,6 @@ class FlowEndpoint:
             self.sim.cancel(self._credit_timer)
             self._credit_timer = None
         return sent
-
-    def _emit(self, seq):
-        self.packets_sent += 1
-        if self.link.enqueue((self.flow_id, seq, self.sim.now)):
-            self.in_network += 1
-        else:
-            self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
-        if self._rto_timer is None:
-            self._arm_rto()
 
     def _maybe_schedule_credit_tick(self):
         """With cwnd < 1 and nothing in flight there are no acks to clock the
@@ -161,10 +179,11 @@ class FlowEndpoint:
         if seq == self.rx_next:
             self.rx_next += 1
             advanced = 1
-            while self.rx_next in self.rx_ooo:
-                self.rx_ooo.discard(self.rx_next)
-                self.rx_next += 1
-                advanced += 1
+            if self.rx_ooo:  # no probe while nothing waits out of order
+                while self.rx_next in self.rx_ooo:
+                    self.rx_ooo.discard(self.rx_next)
+                    self.rx_next += 1
+                    advanced += 1
         elif seq > self.rx_next:
             self.rx_ooo.add(seq)
         now = at_ns / engine.NS_PER_S
@@ -186,7 +205,8 @@ class FlowEndpoint:
             raise ProtocolFault(
                 "flow %s acked seq %d beyond highest sent %d"
                 % (self.flow_id, ack_no, self.snd_next))
-        rtt = self.sim.now - echo_sent_at
+        sim = self.sim
+        rtt = sim.now - echo_sent_at
         srtt = self.srtt
         if srtt is None:  # RFC 6298 estimator
             self.srtt, self.rttvar = rtt, rtt / 2.0
@@ -195,7 +215,9 @@ class FlowEndpoint:
             self.rttvar = 0.75 * self.rttvar + 0.25 * err
             self.srtt = 0.875 * srtt + 0.125 * rtt
         rto = self.srtt + 4.0 * self.rttvar
-        self.rto = rto if rto > MIN_RTO else MIN_RTO
+        if rto < MIN_RTO:
+            rto = MIN_RTO
+        self.rto = rto
         if ack_no > self.snd_una:
             self.snd_una = ack_no
             if ack_no > self.rtx_next:
@@ -206,9 +228,12 @@ class FlowEndpoint:
                 self.cwnd = self.ssthresh  # deflate on leaving fast recovery
                 self.in_recovery = False
             if self.snd_next > ack_no:  # data still in flight
-                self._arm_rto()
+                # _arm_rto's deadline with rto_backoff back at 1
+                self._rto_timer = sim.reschedule(
+                    self._rto_timer, sim.now_ns + round(rto * engine.NS_PER_S),
+                    engine.RTO_TIMER, self._rto_handler, self.label)
             elif self._rto_timer is not None:
-                self.sim.cancel(self._rto_timer)
+                sim.cancel(self._rto_timer)
                 self._rto_timer = None
             self.controller.on_ack(self, rtt, owd)
             if self.cwnd < 1.0:
@@ -225,7 +250,7 @@ class FlowEndpoint:
                 if self.controller.inflate_on_dupack:
                     self.in_recovery = True
                     self.cwnd += 3.0
-                self._emit(self.snd_una)  # fast retransmit
+                self.try_send(self.snd_una)  # fast retransmit
             elif self.dupacks > 3 and self.in_recovery:
                 self.cwnd += 1.0
                 self.try_send()

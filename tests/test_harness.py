@@ -313,7 +313,8 @@ _LONG = 10**5000  # an int past Python's 4,300-digit printing limit
 
 @pytest.mark.parametrize("call, match", [
     (lambda: ScenarioConfig(horizon_s=_LONG, flows=[FlowConfig("reno")]).validate(),
-     "^horizon_s must be finite and positive, got <int of 5001 digits>$"),
+     r"^horizon_s must be finite, positive and at most 2\*\*63 ns, "
+     "got <int of 5001 digits>$"),
     (lambda: run_sweep(SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s",
                                  [-_LONG])),
      "^sweep point <int of 5001 digits>: horizon_s must be"),
@@ -458,6 +459,54 @@ def test_cli_int_too_large_for_a_float_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert match in err
     assert "internal error" not in err
+
+
+# One line of the README example changed so that a time would overflow on
+# its way to integer nanoseconds: (key, value, the field the error names).
+_OVERFLOWS = [
+    ("horizon_s", "1e300", "horizon_s"),
+    ("capacity_bps", "1e-300", "capacity_bps"),  # via its serialization time
+    ("fwd_prop_delay_ms", "1e305", "fwd_prop_delay_s"),
+    ("flows.1.extra_return_delay_ms", "1e305", "flows.1.extra_return_delay_s"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", _OVERFLOWS,
+                         ids=[key for key, _, _ in _OVERFLOWS])
+def test_cli_time_too_long_for_nanoseconds_is_a_usage_error(tmp_path, capsys,
+                                                           key, value, field):
+    lines = readme_example().splitlines()
+    [i] = [n for n, line in enumerate(lines) if line.startswith(key + "=")]
+    lines[i] = "%s=%s" % (key, value)
+    cfg = write(tmp_path, "overflow.cfg", "\n".join(lines) + "\n")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "line %d: %s" % (i + 1, field) in err
+    assert "at most 2**63 ns" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (ScenarioConfig(horizon_s=1e300, flows=[FlowConfig("reno")]), "horizon_s"),
+    (ScenarioConfig(capacity_bps=1e-300, flows=[FlowConfig("reno")]), "capacity_bps"),
+    (ScenarioConfig(pkt_size_bytes=10**300, flows=[FlowConfig("reno")]), "capacity_bps"),
+    (ScenarioConfig(fwd_prop_delay_s=1e302, flows=[FlowConfig("reno")]), "fwd_prop_delay_s"),
+    (ScenarioConfig(flows=[FlowConfig("reno"),
+                           FlowConfig("ledbat", extra_return_delay_s=1e302)]),
+     "flows.1.extra_return_delay_s"),
+], ids=["horizon", "capacity", "packet-size", "propagation", "return-delay"])
+def test_validate_rejects_times_too_long_for_nanoseconds(cfg, field):
+    with pytest.raises(ConfigError, match="^%s" % re.escape(field)) as exc:
+        cfg.validate()
+    assert exc.value.key == field
+
+
+def test_times_up_to_the_bound_validate_and_convert_to_nanoseconds():
+    top = harness.MAX_TIME_S
+    assert harness.engine.to_ns(top) == 2 ** 63
+    ScenarioConfig(horizon_s=top, fwd_prop_delay_s=top,
+                   capacity_bps=1500 * 8 / top,
+                   flows=[FlowConfig("reno", extra_return_delay_s=top)]).validate()
 
 
 def test_cli_sweep_bad_value_is_a_usage_error(tmp_path, capsys):
@@ -656,11 +705,15 @@ def test_cli_experiment_requires_protocol_when_needed(capsys):
     assert "protocol" in capsys.readouterr().err
 
 
-def test_cli_runs_the_readme_example_without_numpy(tmp_path):
+def readme_example():
+    """The config example in README, as printed there."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        example = re.search(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S).group(1)
-    cfg = write(tmp_path, "readme.cfg", example)
+        return re.search(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S).group(1)
+
+
+def test_cli_runs_the_readme_example_without_numpy(tmp_path):
+    cfg = write(tmp_path, "readme.cfg", readme_example())
     src = os.path.dirname(os.path.dirname(harness.__file__))
     code = ("import runpy, sys; sys.modules['numpy'] = None; "
             "sys.argv = ['lbesim', 'run', %r]; "

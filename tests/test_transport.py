@@ -197,7 +197,7 @@ def test_sub_packet_window_sends_about_cwnd_per_rtt():
     assert any(line.endswith(" CreditTick credit-flow0") for line in log)
 
 
-def test_rto_moved_by_acks_fires_once_at_the_last_deadline():
+def test_rto_moved_by_acks_fires_once_at_the_last_deadline(monkeypatch):
     sim, link, f = make_flow(controller=NullController())
     f.cwnd = 4.0
     f.start()
@@ -205,14 +205,15 @@ def test_rto_moved_by_acks_fires_once_at_the_last_deadline():
     link.buffer_pkts = 0  # from now on every new packet is dropped
     timer = f._rto_timer
     deadlines = []
-    deliver_ack = f.on_ack_arrival
+    deliver_ack = FlowEndpoint.on_ack_arrival
 
-    def on_ack_arrival(*a):
-        deliver_ack(*a)
+    def on_ack_arrival(flow, *a):
+        deliver_ack(flow, *a)
         assert f._rto_timer is timer  # moved in place, not replaced
         deadlines.append(timer[0])
 
-    f.on_ack_arrival = on_ack_arrival
+    # FlowEndpoint has __slots__, so the method is replaced on the class
+    monkeypatch.setattr(FlowEndpoint, "on_ack_arrival", on_ack_arrival)
     log = []
     sim.trace = log.append
     sim.run_until(1.0 + 1.5 * MIN_RTO)
