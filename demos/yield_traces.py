@@ -26,8 +26,8 @@ def main():
         reno_bps, lbe_bps = (bps for _, _, bps in result.report.per_flow)
         print("reno vs %-6s  reno=%5.2f Mbit/s  %s=%5.3f Mbit/s  eta=%.3f"
               % (lbe, reno_bps / 1e6, lbe, lbe_bps / 1e6, result.report.eta))
-        harness.write_traces(OUTDIR, result.cwnd_traces, result.queue_samples,
-                             prefix="reno-%s_" % lbe)
+        harness.write_traces(OUTDIR, result.sample_times, result.cwnd_traces,
+                             result.queue_samples, prefix="reno-%s_" % lbe)
     print("traces written to ./%s" % OUTDIR)
 
 

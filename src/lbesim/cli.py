@@ -71,8 +71,8 @@ def cmd_run(args):
     header = result.report.CSV_HEADER + "\n"
     _emit(header + result.report.csv_row() + "\n", args.out, "report.csv")
     if args.traces:
-        harness.write_traces(args.out or ".", result.cwnd_traces,
-                             result.queue_samples)
+        harness.write_traces(args.out or ".", result.sample_times,
+                             result.cwnd_traces, result.queue_samples)
     return 0
 
 

@@ -9,6 +9,7 @@ Config files are flat, line-oriented key=value documents with dotted paths
 import copy
 import os
 import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +20,7 @@ from .network import BottleneckLink
 from .transport import FlowEndpoint
 
 SAMPLE_TICK_S = 0.1
+SAMPLE_TICK_NS = engine.to_ns(SAMPLE_TICK_S)
 
 PROTOCOLS = ("reno", "lp", "nice", "ledbat")
 
@@ -127,6 +129,12 @@ class ScenarioConfig:
                 if isinstance(exc, ParamError):
                     key += "." + exc.param
                 raise ConfigError("flows.%d.params: %s" % (i, exc), key=key) from exc
+            if fc.protocol == "lp":  # no RTT outlasts the run
+                _check("flows.%d.params.inference_rtts" % i
+                       if "inference_rtts" in fc.params else "horizon_s", "delay",
+                       controllers[-1].inference_rtts * self.horizon_s,
+                       "the longest inference phase of flow %d "
+                       "(inference_rtts * horizon_s)" % i)
         return controllers
 
     def build_controller(self, fc):
@@ -289,9 +297,13 @@ def set_param(cfg, path, value):
 
 @dataclass
 class RunResult:
+    """A run's report and engine stats and, with traces on, its 100 ms
+    samples as columns: `sample_times` holds each tick's time once, and
+    every series holds one value per tick, in the same order."""
     report: metrics.MetricsReport
-    cwnd_traces: dict          # flow_id -> [(time_s, cwnd)]; {} with traces off
-    queue_samples: list        # [(time_s, backlog)] every 100 ms; None with traces off
+    sample_times: array        # array('d') of time_s; None with traces off
+    cwnd_traces: dict          # flow_id -> array('d') of cwnd; {} with traces off
+    queue_samples: array       # array('q') of backlog; None with traces off
     run_stats: engine.RunStats
 
 
@@ -317,8 +329,11 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         f.horizon_ns = horizon_ns
         f.start()
 
-    cwnd_traces = {f.flow_id: [] for f in flows} if traces else {}
-    queue_samples = [] if traces else None
+    if traces:
+        sample_times, queue_samples = array("d"), array("q")
+        cwnd_traces = {f.flow_id: array("d") for f in flows}
+    else:
+        sample_times, queue_samples, cwnd_traces = None, None, {}
 
     def sample_tick():
         for f in flows:
@@ -329,15 +344,20 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
             if f.in_network < 0:
                 raise AssertionError("negative in-flight for flow %s" % f.flow_id)
         if traces:
+            sample_times.append(sim.now)
             for f in flows:
-                cwnd_traces[f.flow_id].append((sim.now, f.cwnd))
-            queue_samples.append((sim.now, link.backlog()))
-        if sim.now + SAMPLE_TICK_S <= cfg.horizon_s:
-            sim.schedule_after(SAMPLE_TICK_S, engine.METRICS_SAMPLE_TICK,
+                cwnd_traces[f.flow_id].append(f.cwnd)
+            queue_samples.append(link.backlog())
+        next_ns = sim.now_ns + SAMPLE_TICK_NS
+        if next_ns <= horizon_ns:
+            sim.schedule_at_ns(next_ns, engine.METRICS_SAMPLE_TICK,
                                sample_tick, label="sample")
 
     sim.schedule_at(0.0, engine.METRICS_SAMPLE_TICK, sample_tick, label="sample")
     stats = sim.run_until(cfg.horizon_s)
+    if traces:  # copies without growth slack: 8 bytes per value
+        sample_times, queue_samples = sample_times[:], queue_samples[:]
+        cwnd_traces = {fid: col[:] for fid, col in cwnd_traces.items()}
 
     counters = [metrics.FlowCounters(
         flow_id=f.flow_id,
@@ -354,8 +374,9 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         scenario_id, params, counters, link.backlog_sum,
         link.total_enqueued + link.total_dropped, link.backlog_peak,
         cfg.buffer_pkts, cfg.horizon_s, cfg.capacity_bps)
-    return RunResult(report=report, cwnd_traces=cwnd_traces,
-                     queue_samples=queue_samples, run_stats=stats)
+    return RunResult(report=report, sample_times=sample_times,
+                     cwnd_traces=cwnd_traces, queue_samples=queue_samples,
+                     run_stats=stats)
 
 
 # -- sweeps --------------------------------------------------------------
@@ -540,9 +561,11 @@ def expand_experiment(experiment_id, protocol=None):
 
 # -- plot data and trace emission ----------------------------------------
 
-def write_traces(outdir, cwnd_traces, queue_samples=None, prefix=""):
+def write_traces(outdir, sample_times, cwnd_traces, queue_samples=None,
+                 prefix=""):
     """Write `<prefix>flow<i>_cwnd.csv` for each flow and, given a queue
-    series, `<prefix>queue.csv` into outdir; return their paths."""
+    series, `<prefix>queue.csv` into outdir, one row per sample time;
+    return their paths."""
     files = [("flow%d_cwnd.csv" % fid, "time_s,cwnd_pkts\n", "%.3f,%.6f\n", series)
              for fid, series in sorted(cwnd_traces.items())]
     if queue_samples is not None:
@@ -552,7 +575,7 @@ def write_traces(outdir, cwnd_traces, queue_samples=None, prefix=""):
         paths.append(os.path.join(outdir, prefix + name))
         with open(paths[-1], "w") as fh:
             fh.write(header)
-            fh.writelines(row % r for r in series)
+            fh.writelines(row % r for r in zip(sample_times, series))
     return paths
 
 
@@ -578,7 +601,8 @@ def emit_plot_data(points, figure_id, outdir):
     written.append(csv_path)
 
     for pt in points:
-        written += write_traces(outdir, pt.result.cwnd_traces,
+        written += write_traces(outdir, pt.result.sample_times,
+                                pt.result.cwnd_traces,
                                 prefix="%s_%s_" % (figure_id, pt.label))
 
     plt_path = os.path.join(outdir, "%s.plt" % figure_id)

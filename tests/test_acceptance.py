@@ -151,7 +151,8 @@ def test_09_rtt_heterogeneity(catalog):
 
 def _trace(catalog, label, fid, t_min=10.0):
     pt = by_label(catalog[("fig1", None)][0])[label]
-    return np.array([w for t, w in pt.result.cwnd_traces[fid] if t >= t_min])
+    return np.array([w for t, w in zip(pt.result.sample_times,
+                                       pt.result.cwnd_traces[fid]) if t >= t_min])
 
 
 def test_10_trace_shapes(catalog):

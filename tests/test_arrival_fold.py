@@ -85,8 +85,12 @@ WRONG_RULES = {"at acceptance": scheduled_return_path,
 
 
 def outputs(cfg):
+    """The report row, and the cwnd and queue traces as (time, value) pairs."""
     r = run_scenario(cfg, traces=True)
-    return r.report.csv_row(), r.cwnd_traces, r.queue_samples
+    pairs = lambda column: list(zip(r.sample_times, column))
+    return (r.report.csv_row(),
+            {fid: pairs(column) for fid, column in r.cwnd_traces.items()},
+            pairs(r.queue_samples))
 
 
 def reference_outputs(cfg):

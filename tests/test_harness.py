@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from lbesim import cli, harness
 from lbesim.harness import (ConfigError, FlowConfig, ScenarioConfig,
                             SweepSpec, expand_experiment, load_scenario,
                             load_sweep, run_scenario, run_sweep, set_param,
-                            sweep_csv)
+                            sweep_csv, write_traces)
 
 GOOD_CONFIG = """
 # a reno flow against a delay-target flow
@@ -242,18 +243,60 @@ def test_run_scenario_produces_full_report():
     assert len(r.per_flow) == 2
     assert result.run_stats.events_processed > 0
     # traces are off by default, and no per-packet series is kept
+    assert result.sample_times is None
     assert result.cwnd_traces == {}
     assert result.queue_samples is None
 
 
 def test_run_scenario_traces_sample_every_100ms():
     result = run_scenario(short_cfg("reno", horizon=1.0), traces=True)
-    series = result.cwnd_traces[0]
-    assert len(series) == 11  # 0.0 .. 1.0 inclusive
-    assert [t for t, _ in series] == pytest.approx([0.1 * i for i in range(11)])
+    times, series = result.sample_times, result.cwnd_traces[0]
+    assert len(series) == len(times) == 11  # 0.0 .. 1.0 inclusive
+    assert list(times) == pytest.approx([0.1 * i for i in range(11)])
     # the backlog is sampled by the same tick: waiting packets only
-    assert [t for t, _ in result.queue_samples] == [t for t, _ in series]
-    assert all(type(b) is int and 0 <= b <= 100 for _, b in result.queue_samples)
+    assert len(result.queue_samples) == len(times)
+    assert all(type(b) is int and 0 <= b <= 100 for b in result.queue_samples)
+
+
+@pytest.mark.parametrize("horizon", [0.3, 1.2, 16.2])
+def test_sampler_ticks_at_the_horizon(horizon):
+    # a float sum 0.2 + 0.1 > 0.3 must not drop the tick at the horizon
+    result = run_scenario(short_cfg("reno", horizon=horizon), traces=True)
+    ticks = round(horizon * 10) + 1
+    assert list(result.sample_times) == [i / 10 for i in range(ticks)]
+    assert result.sample_times[-1] == horizon
+
+
+def _held_bytes(obj):
+    """Bytes that obj and, for a list, tuple or dict, what it holds take."""
+    items = obj.values() if isinstance(obj, dict) else (
+        obj if isinstance(obj, (list, tuple)) else ())
+    return sys.getsizeof(obj) + sum(_held_bytes(x) for x in items)
+
+
+def test_trace_samples_are_typed_columns_on_one_time_column(tmp_path):
+    flows = 2
+    result = run_scenario(short_cfg("reno", "ledbat", horizon=10.0), traces=True)
+    times = result.sample_times
+    columns = [times, result.queue_samples] + list(result.cwnd_traces.values())
+    assert len(columns) == flows + 2
+    for column in columns:
+        assert type(column) is array and column.itemsize == 8
+        assert len(column) == len(times) == 101
+    # every value unboxed: at most 8 bytes per series and tick, beyond
+    # what each empty column takes
+    held = sum(_held_bytes(c) - _held_bytes(c[:0]) for c in columns)
+    assert held <= 8 * (flows + 2) * len(times)
+    # the files are the (t, v) pairs formatted row by row
+    paths = write_traces(str(tmp_path), times, result.cwnd_traces,
+                         result.queue_samples)
+    expected = [("time_s,cwnd_pkts\n", "%.3f,%.6f\n", result.cwnd_traces[0]),
+                ("time_s,cwnd_pkts\n", "%.3f,%.6f\n", result.cwnd_traces[1]),
+                ("time_s,backlog_pkts\n", "%.6f,%d\n", result.queue_samples)]
+    for path, (header, row, column) in zip(paths, expected):
+        pairs = [(times[i], column[i]) for i in range(len(times))]
+        with open(path, "rb") as fh:
+            assert fh.read() == (header + "".join(row % p for p in pairs)).encode()
 
 
 def test_run_sweep_orders_points_and_labels():
@@ -507,6 +550,44 @@ def test_times_up_to_the_bound_validate_and_convert_to_nanoseconds():
     ScenarioConfig(horizon_s=top, fwd_prop_delay_s=top,
                    capacity_bps=1500 * 8 / top,
                    flows=[FlowConfig("reno", extra_return_delay_s=top)]).validate()
+
+
+def test_cli_lp_inference_phase_too_long_for_nanoseconds_is_a_usage_error(
+        tmp_path, capsys):
+    # an inference phase lasts inference_rtts smoothed RTTs; with 1e308
+    # its end overflowed integer nanoseconds at the first LP backoff
+    text = readme_example()
+    for old, new in (("horizon_s=120", "horizon_s=20"),
+                     ("flows.1.protocol=ledbat", "flows.1.protocol=lp"),
+                     ("flows.1.params.tau_ms=25", "flows.1.params.inference_rtts=1e308")):
+        assert old + "\n" in text
+        text = text.replace(old + "\n", new + "\n")
+    lines = text.splitlines()
+    cfg = write(tmp_path, "lp.cfg", text)
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    line = lines.index("flows.1.params.inference_rtts=1e308") + 1
+    assert "line %d: flows.1.params.inference_rtts" % line in err
+    assert "at most 2**63 ns" in err
+    assert "internal error" not in err
+
+
+def test_lp_inference_rtts_is_bounded_by_the_horizon():
+    def cfg(horizon, **params):
+        return ScenarioConfig(horizon_s=horizon, flows=[
+            FlowConfig("reno"), FlowConfig("lp", params)])
+    # no RTT outlasts the run, so inference_rtts * horizon_s bounds the phase
+    cfg(1.0, inference_rtts=harness.MAX_TIME_S).validate()
+    cfg(3e9).validate()  # the default 3 RTTs
+    for horizon, params, key in (
+            (20.0, {"inference_rtts": 1e308}, "flows.1.params.inference_rtts"),
+            (120.0, {"inference_rtts": 1e9}, "flows.1.params.inference_rtts"),
+            (1.0, {"inference_rtts": 2 * harness.MAX_TIME_S}, "flows.1.params.inference_rtts"),
+            (5e9, {}, "horizon_s")):  # the default, so the horizon is at fault
+        with pytest.raises(ConfigError, match="^%s: the longest inference phase "
+                           "of flow 1 " % re.escape(key)) as exc:
+            cfg(horizon, **params).validate()
+        assert exc.value.key == key
 
 
 def test_cli_sweep_bad_value_is_a_usage_error(tmp_path, capsys):
