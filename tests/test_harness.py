@@ -268,9 +268,8 @@ def test_sampler_ticks_at_the_horizon(horizon):
 
 
 def _held_bytes(obj):
-    """Bytes that obj and, for a list, tuple or dict, what it holds take."""
-    items = obj.values() if isinstance(obj, dict) else (
-        obj if isinstance(obj, (list, tuple)) else ())
+    """Bytes that obj and, for a list or tuple, what it holds take."""
+    items = obj if isinstance(obj, (list, tuple)) else ()
     return sys.getsizeof(obj) + sum(_held_bytes(x) for x in items)
 
 

@@ -162,7 +162,8 @@ def test_write_queue_csv_format(tmp_path):
     cwnd_lines = (tmp_path / "flow0_cwnd.csv").read_text().splitlines()
     assert lines[0] == "time_s,backlog_pkts"
     assert len(lines) == len(cwnd_lines) == 12  # header + 0.0 .. 1.0 s
-    assert lines[1:] == ["%.6f,%d" % s for s in zip(r.sample_times, r.queue_samples)]
+    assert lines[1:] == ["%.6f,%d" % s
+                         for s in zip(r.sample_times, r.queue_samples)]
     # one row per cwnd row, at the same time
     assert ([l.split(",")[0] for l in lines[1:]]
             == ["%.6f" % float(l.split(",")[0]) for l in cwnd_lines[1:]])
