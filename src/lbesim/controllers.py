@@ -8,10 +8,9 @@ is detected. Controllers mutate flow.cwnd (and flow.ssthresh where
 relevant); the endpoint owns retransmission, timers and window clocking.
 
 on_ack runs on every ack, so the LP, LEDBAT and NICE filters are written
-out inline there, with the same float operations and with comparisons in
-place of min() and max(). The functions lp_update_delay,
-lp_early_congestion, ledbat_offset and NiceController.mark_threshold stay as
-the references those methods are tested against.
+out inline there, with comparisons in place of min() and max(). The tests
+hold each filter's closed form (tests/oracles.py) and check that on_ack
+leaves the state it gives, to the last bit.
 A LEDBAT target given as T_pct is resolved against the buffer delay that
 ScenarioConfig.build_controller passes to make_controller.
 """
@@ -66,7 +65,6 @@ class Controller:
     # Reno-style fast-recovery window inflation; delay-based schemes keep
     # the plain halving instead.
     inflate_on_dupack = False
-    floor = 1.0
 
     def on_ack(self, flow, rtt, owd):
         raise NotImplementedError
@@ -92,23 +90,6 @@ class RenoController(Controller):
             flow.ssthresh = max(flow.cwnd / 2.0, 2.0)
             flow.cwnd = flow.ssthresh
         # timeout mechanics (cwnd=1, ssthresh, backoff) live in the endpoint
-
-
-def lp_update_delay(d_ewma, d_min, d_max, d, alpha):
-    """One EWMA step over the one-way delay plus running extrema.
-    First sample initializes the average. LpController.on_ack does the same
-    inline; this is the reference it is tested against."""
-    if d_ewma is None:
-        d_ewma = d
-    else:
-        d_ewma = (1.0 - alpha) * d_ewma + alpha * d
-    return d_ewma, min(d_min, d), max(d_max, d)
-
-
-def lp_early_congestion(d_ewma, d_min, d_max, delta):
-    """Delay-threshold early congestion test (strict inequality); the
-    reference for the inline test in LpController.on_ack."""
-    return d_ewma > d_min + (d_max - d_min) * delta
 
 
 class LpController(Controller):
@@ -141,8 +122,6 @@ class LpController(Controller):
         self._inference_handle = None
 
     def on_ack(self, flow, rtt, owd):
-        # lp_update_delay and lp_early_congestion, inline: the same float
-        # operations, with min/max as the comparisons they make
         d_ewma = self.d_ewma
         if d_ewma is None:
             d_ewma = owd
@@ -249,10 +228,6 @@ class NiceController(Controller):
         self._epoch_end_seq = None
         self.in_slow_start = True
 
-    def mark_threshold(self):
-        """Delay above which an ack is marked; on_ack computes it inline."""
-        return self.rtt_min + (self.rtt_max - self.rtt_min) * self.delta
-
     def on_ack(self, flow, rtt, owd):
         window = self._window
         window.add(flow.sim.now, rtt)
@@ -261,7 +236,7 @@ class NiceController(Controller):
         rtt_min = self.rtt_min = window.min
         rtt_max = self.rtt_max = window.max
         self.total += 1
-        marked = rtt > rtt_min + (rtt_max - rtt_min) * self.delta  # mark_threshold
+        marked = rtt > rtt_min + (rtt_max - rtt_min) * self.delta
         if marked:
             self.marked += 1
         if self.in_slow_start:
@@ -301,12 +276,6 @@ class NiceController(Controller):
         self.in_slow_start = False
 
 
-def ledbat_offset(tau, d, d_min):
-    """Distance from the target queuing delay: tau - (d - d_min); the
-    reference for the inline offset in LedbatController.on_ack."""
-    return tau - (d - d_min)
-
-
 class LedbatController(Controller):
     """LEDBAT: linear controller steering the queuing delay (one-way delay
     above the running base delay) toward a fixed target."""
@@ -323,7 +292,7 @@ class LedbatController(Controller):
         d_min = self.d_min
         if owd < d_min:
             d_min = self.d_min = owd
-        off = self.tau - (owd - d_min)  # ledbat_offset
+        off = self.tau - (owd - d_min)  # distance from the target delay
         if self.in_slow_start and off > 0 and flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
             return
@@ -348,8 +317,9 @@ class LedbatController(Controller):
 
 
 def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
-    """Time a full buffer takes to drain; a LEDBAT T_pct is a share of it."""
-    return buffer_pkts * pkt_size_bytes * 8.0 / capacity_bps
+    """Time a full buffer takes to drain; a LEDBAT T_pct is a share of it.
+    Infinite, not an OverflowError, for a buffer too large for a float."""
+    return float(buffer_pkts) * pkt_size_bytes * 8.0 / capacity_bps
 
 
 class ParamError(ValueError):
@@ -443,8 +413,8 @@ def _make_ledbat(params, buffer_delay_s):
         tau = t_pct / 100.0 * buffer_delay_s
     else:
         tau = (tau_ms if tau_ms is not None else 25.0) / 1000.0
-    if not tau > 0:  # a positive tau_ms can underflow
-        raise ValueError("ledbat target must be positive")
+    if not 0 < tau < INF:  # a tau_ms can underflow, a huge buffer overflow
+        raise ValueError("ledbat target must be positive and finite")
     if gamma is None:
         gamma = (g if g is not None else 1.0) / tau
     if not gamma < INF:

@@ -46,15 +46,15 @@ def _finite(value):
 # The engine keeps time in integer nanoseconds. A time field, and the
 # time one packet takes to serialize, must be at most 2**63 ns (about 292
 # years, the range of a signed 64-bit count), so that none overflows on its
-# way to nanoseconds.
+# way to nanoseconds, and at least 1 ns, so that none rounds to 0.
 MAX_TIME_S = 2 ** 63 / engine.NS_PER_S
 
 # kind -> what a field of that kind must hold, in words and as a test
 _KINDS = {
     "positive": ("finite and positive", lambda v: _finite(v) and v > 0),
     "count": ("a positive whole number", lambda v: _finite(v) and v > 0 and v == int(v)),
-    "time": ("finite, positive and at most 2**63 ns",
-             lambda v: _finite(v) and 0 < v <= MAX_TIME_S),
+    "time": ("at least 1 ns and at most 2**63 ns",
+             lambda v: _finite(v) and 1 / engine.NS_PER_S <= v <= MAX_TIME_S),
     "delay": ("finite, non-negative and at most 2**63 ns",
               lambda v: _finite(v) and 0 <= v <= MAX_TIME_S),
     "protocol": ("one of " + ", ".join(PROTOCOLS), lambda v: v in PROTOCOLS),
@@ -102,7 +102,7 @@ class ScenarioConfig:
         for path, kind in FIELDS.items():
             if not path.startswith("flows."):
                 _check(path, kind, getattr(self, path))
-        _check("capacity_bps", "delay",
+        _check("capacity_bps", "time",
                self.pkt_size_bytes * 8.0 / self.capacity_bps,
                "the serialization time of one %g-byte packet"
                % self.pkt_size_bytes)
@@ -315,17 +315,16 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
     controllers = cfg._controllers()
     sim = Simulator(trace=event_log)
     link = BottleneckLink(sim, cfg.capacity_bps, cfg.fwd_prop_delay_s,
-                          cfg.buffer_pkts)
+                          cfg.buffer_pkts, cfg.pkt_size_bytes)
     flows = []
     for i, (fc, ctl) in enumerate(zip(cfg.flows, controllers)):
         flows.append(FlowEndpoint(
             sim, link, flow_id=i, controller=ctl,
-            pkt_size_bytes=cfg.pkt_size_bytes,
             return_delay_s=cfg.fwd_prop_delay_s + fc.extra_return_delay_s,
             start_at=fc.start_at))
     horizon_ns = engine.to_ns(cfg.horizon_s)
     for f in flows:
-        link.connect(f.flow_id, f.on_data_arrival, f.pkt_size)
+        link.connect(f.flow_id, f.on_data_arrival)
         f.horizon_ns = horizon_ns
         f.start()
 

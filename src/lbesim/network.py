@@ -2,8 +2,9 @@
 the forward direction, and a delay-only return path for acks.
 
 A data packet is a plain tuple (flow_id, seq, sent_at): the flow it
-belongs to, its sequence number and its send time in seconds. Its size is
-its flow's (see BottleneckLink.connect).
+belongs to, its sequence number and its send time in seconds. Every packet
+has the link's size (BottleneckLink.pkt_size), so all take one
+serialization time.
 
 The transmitting packet does not occupy a buffer slot. Acks are never
 queued or dropped: the reverse direction is modeled as pure delay, so all
@@ -16,8 +17,6 @@ propagation delay later. The receiver's ack is the one event a delivered
 packet costs (see return_path_send).
 """
 
-from collections import deque
-
 from . import engine
 
 
@@ -28,57 +27,60 @@ class BottleneckLink:
     attempt, drops included, so that occupancy approaches 1 under
     saturation. Only the sum and the peak are kept.
 
+    The FIFO is two integers: the service start of the busy period's first
+    packet (_first), which went straight to the transmitter, and the finish
+    of the last one (_busy_until). Every packet takes one serialization
+    time, so the waiting ones start at _busy_until - k * _tx_ns for
+    k = 1, 2, ..., and the backlog counts those starts not before now.
+
     An accepted packet is handed over at once, as receive(packet,
     arrival_ns) of the flow's route (see connect), and the receiver
     schedules what the arrival causes (see return_path_send).
     """
 
-    __slots__ = ("sim", "capacity_bps", "prop_delay_s", "buffer_pkts",
-                 "backlog_sum", "backlog_peak", "total_enqueued",
-                 "total_dropped", "_busy_until", "_starts", "_prop_ns",
-                 "_routes")
+    __slots__ = ("sim", "buffer_pkts", "pkt_size", "backlog_sum",
+                 "backlog_peak", "total_enqueued", "total_dropped",
+                 "_busy_until", "_first", "_tx_ns", "_prop_ns", "_routes")
 
-    def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts):
+    def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts,
+                 pkt_size_bytes=1500):
         self.sim = sim
-        self.capacity_bps = float(capacity_bps)
-        self.prop_delay_s = float(prop_delay_s)
         self.buffer_pkts = int(buffer_pkts)
+        self.pkt_size = pkt_size_bytes
         self.backlog_sum = 0
         self.backlog_peak = 0
         self.total_enqueued = 0
         self.total_dropped = 0
-        self._busy_until = -1    # ns when the last accepted packet finishes
-        self._starts = deque()    # service start of each waiting packet, in ns
-        self._prop_ns = engine.to_ns(self.prop_delay_s)
-        self._routes = {}  # flow id -> (receive, serialization ns); see connect
+        self._busy_until = -1  # ns when the last accepted packet finishes
+        self._first = -1       # ns when this busy period's first one started
+        self._tx_ns = engine.to_ns(pkt_size_bytes * 8.0 / float(capacity_bps))
+        self._prop_ns = engine.to_ns(float(prop_delay_s))
+        self._routes = {}  # flow id -> receive; see connect
 
-    def serialization_s(self, size_bytes):
-        return size_bytes * 8.0 / self.capacity_bps
-
-    def connect(self, flow_id, receive, size_bytes):
-        """Hand flow_id's packets, each size_bytes long, to receive(packet,
-        arrival_ns) when the link accepts them."""
-        self._routes[flow_id] = (
-            receive, engine.to_ns(self.serialization_s(size_bytes)))
+    def connect(self, flow_id, receive):
+        """Hand flow_id's packets to receive(packet, arrival_ns) when the
+        link accepts them."""
+        self._routes[flow_id] = receive
 
     def backlog(self):
         """Packets waiting now, the transmitting one excluded. One whose
         service starts at this very nanosecond still waits for every event
         at now (see README, Event core, for when that is exact)."""
-        starts = self._starts
         now_ns = self.sim.now_ns
-        while starts and starts[0] < now_ns:
-            starts.popleft()
-        return len(starts)
+        busy_until = self._busy_until
+        if busy_until < now_ns:
+            return 0
+        return (busy_until - now_ns) // self._tx_ns - (self._first == now_ns)
 
     def enqueue(self, p):
         """Offer a data packet to the buffer. Returns True if accepted,
         False if it was tail-dropped (discarded silently)."""
-        starts = self._starts
         now_ns = self.sim.now_ns
-        while starts and starts[0] < now_ns:  # as in backlog()
-            starts.popleft()
-        depth = len(starts)
+        start = self._busy_until
+        if start < now_ns:  # idle
+            depth = 0
+        else:               # as in backlog()
+            depth = (start - now_ns) // self._tx_ns - (self._first == now_ns)
         self.backlog_sum += depth
         if depth > self.backlog_peak:
             self.backlog_peak = depth
@@ -86,14 +88,10 @@ class BottleneckLink:
             self.total_dropped += 1
             return False
         self.total_enqueued += 1
-        receive, tx_ns = self._routes[p[0]]
-        start = self._busy_until
         if start < now_ns:  # idle: straight to the transmitter
-            start = now_ns
-        else:               # busy until start, the last finish
-            starts.append(start)
-        finish = self._busy_until = start + tx_ns
-        receive(p, finish + self._prop_ns)
+            start = self._first = now_ns
+        finish = self._busy_until = start + self._tx_ns
+        self._routes[p[0]](p, finish + self._prop_ns)
         return True
 
 

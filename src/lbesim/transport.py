@@ -31,22 +31,20 @@ class FlowEndpoint:
     it, as a run stopped there never sees them."""
 
     __slots__ = (
-        "sim", "link", "flow_id", "controller", "pkt_size", "return_delay_s",
-        "start_at", "_return_ns", "label", "_ack_label", "_ack_handler",
-        "_rto_handler", "cwnd", "ssthresh", "snd_next", "snd_una", "rtx_next",
-        "dupacks", "in_recovery", "fractional_credit", "_credit_timer", "srtt",
-        "rttvar", "rto", "rto_backoff", "_rto_timer", "horizon_ns", "rx_next",
-        "rx_ooo", "_acks", "packets_sent", "packets_dropped", "delivered_pkts",
-        "window_bytes", "in_network")
+        "sim", "link", "flow_id", "controller", "start_at", "_return_ns",
+        "label", "_ack_label", "_ack_handler", "_rto_handler", "cwnd",
+        "ssthresh", "snd_next", "snd_una", "rtx_next", "dupacks", "in_recovery",
+        "fractional_credit", "_credit_timer", "srtt", "rttvar", "rto",
+        "rto_backoff", "_rto_timer", "horizon_ns", "rx_next", "rx_ooo", "_acks",
+        "packets_sent", "packets_dropped", "delivered_pkts", "window_bytes",
+        "in_network")
 
-    def __init__(self, sim, link, flow_id, controller, pkt_size_bytes=1500,
-                 return_delay_s=0.025, start_at=0.0):
+    def __init__(self, sim, link, flow_id, controller, return_delay_s=0.025,
+                 start_at=0.0):
         self.sim = sim
         self.link = link
         self.flow_id = flow_id
         self.controller = controller
-        self.pkt_size = pkt_size_bytes
-        self.return_delay_s = return_delay_s
         self.start_at = start_at
         self._return_ns = engine.to_ns(return_delay_s)
         self.label = "flow%s" % flow_id
@@ -188,7 +186,7 @@ class FlowEndpoint:
             self.rx_ooo.add(seq)
         now = at_ns / engine.NS_PER_S
         if advanced:
-            self.window_bytes[int(now / WINDOW_S)] += advanced * self.pkt_size
+            self.window_bytes[int(now / WINDOW_S)] += advanced * self.link.pkt_size
         self._acks.append((self.rx_next, now - sent_at, sent_at))
         return_path_send(self.sim, at_ns, self._return_ns, self._ack_handler,
                          self._ack_label)

@@ -14,11 +14,11 @@ import pytest
 
 from conftest import by_label, by_value, run_catalog
 from lbesim import harness, metrics
-from lbesim.controllers import (LedbatController, NiceController,
-                                ledbat_offset, lp_early_congestion,
-                                lp_update_delay)
+from lbesim.controllers import LedbatController, LpController, NiceController
 from lbesim.engine import Simulator
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
+from oracles import (StubFlow, ledbat_offset, lp_early_congestion,
+                     lp_update_delay, nice_mark_threshold)
 
 CAPACITY = 10e6
 
@@ -208,7 +208,7 @@ def test_12_packet_conservation_and_drain():
     flows = [FlowEndpoint(sim, link, i, make_controller(p), start_at=0.0)
              for i, p in enumerate(("reno", "ledbat", "nice"))]
     for f in flows:
-        link.connect(f.flow_id, f.on_data_arrival, f.pkt_size)
+        link.connect(f.flow_id, f.on_data_arrival)
         f.start()
     sim.run_until(10.0)
     conserved = all(
@@ -267,6 +267,8 @@ def test_13_metric_bounds_on_random_configs():
 
 
 def test_14_controller_update_oracles():
+    """Each controller's on_ack, driven with random inputs, leaves the state
+    that the closed-form oracles give."""
     rng = random.Random(99)
     bad = 0
     for _ in range(100):
@@ -274,36 +276,41 @@ def test_14_controller_update_oracles():
         prev = None if rng.random() < 0.2 else rng.uniform(0.01, 0.2)
         dmin, dmax = rng.uniform(0.005, 0.05), rng.uniform(0.05, 0.25)
         d, alpha = rng.uniform(0.001, 0.3), rng.uniform(0.01, 1.0)
-        ewma, mn, mx = lp_update_delay(prev, dmin, dmax, d, alpha)
-        exp = d if prev is None else (1 - alpha) * prev + alpha * d
-        bad += not (ewma == pytest.approx(exp) and mn == min(dmin, d)
-                    and mx == max(dmax, d))
-        # early-congestion threshold
         delta = rng.uniform(0.0, 1.0)
-        bad += lp_early_congestion(ewma, dmin, dmax, delta) != \
-            (ewma > dmin + (dmax - dmin) * delta)
-        # nice marking threshold
-        ctl = NiceController(delta=delta)
-        ctl.rtt_min, ctl.rtt_max = dmin, dmax
-        bad += ctl.mark_threshold() != pytest.approx(
-            dmin + (dmax - dmin) * delta)
-        # queueing-delay offset
+        lp = LpController(alpha=alpha, delta=delta)
+        lp.d_ewma, lp.d_min, lp.d_max = prev, dmin, dmax
+        lp.on_ack(StubFlow(), d + 0.025, d)
+        ewma, mn, mx = lp_update_delay(prev, dmin, dmax, d, alpha)
+        bad += (lp.d_ewma, lp.d_min, lp.d_max) != (ewma, mn, mx)
+        # early-congestion threshold: an armed detector halves and infers
+        bad += (lp.phase == "inference") != lp_early_congestion(
+            ewma, mn, mx, delta)
+        # nice marking threshold, over the delays seen so far
+        nice = NiceController(delta=delta)
+        flow = StubFlow(cwnd=1.0)
+        flow.snd_next = 10 ** 6  # no epoch closes: the marks stay counted
+        marks = 0
+        for lo, hi, rtt in ((dmin, dmin, dmin), (dmin, dmax, dmax), (mn, mx, d)):
+            nice.on_ack(flow, rtt, rtt / 2.0)
+            marks += rtt > nice_mark_threshold(lo, hi, delta)
+        bad += nice.marked != marks
+        # queueing-delay offset, at G = 1 where the cap does not hide it
         tau = rng.uniform(0.005, 0.1)
-        bad += ledbat_offset(tau, d, dmin) != pytest.approx(tau - (d - dmin))
+        led = LedbatController(tau=tau, gamma=1.0 / tau)
+        led.d_min = dmin
+        flow = StubFlow(cwnd=20.0)
+        led.on_ack(flow, d + 0.025, d)
+        step = min(led.gamma * ledbat_offset(tau, d, mn), 1.0)
+        bad += flow.cwnd != max(20.0 + step / 20.0, 1.0)
         # linear controller step, including the one-packet-per-RTT ramp cap
         gamma = rng.uniform(1.0, 20.0) / tau
         led = LedbatController(tau=tau, gamma=gamma)
         led.d_min = dmin
         c = rng.uniform(1.0, 60.0)
-
-        class F:
-            cwnd = c
-            ssthresh = 1e9
-
-        led.on_ack(F, d + 0.025, d)
-        dm2 = min(dmin, d)
-        step = min(gamma * (tau - (d - dm2)), 1.0)
-        bad += F.cwnd != pytest.approx(max(c + step / c, 1.0))
+        flow = StubFlow(cwnd=c, ssthresh=1e9)
+        led.on_ack(flow, d + 0.025, d)
+        step = min(gamma * ledbat_offset(tau, d, mn), 1.0)
+        bad += flow.cwnd != max(c + step / c, 1.0)
     verdict(14, bad == 0,
             "500 randomized controller-update checks, %d mismatches" % bad)
 

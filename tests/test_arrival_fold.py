@@ -53,12 +53,12 @@ class ThreeEventLink(network.BottleneckLink):
     def _serialize(self, p):
         self.in_service = p
         sim = self.sim
-        sim.schedule_at_ns(sim.now_ns + self._routes[p[0]][1],
+        sim.schedule_at_ns(sim.now_ns + self._tx_ns,
                            "TransmissionComplete", self._tx_done, "flow%s" % p[0])
 
     def _tx_done(self):
         p, sim = self.in_service, self.sim
-        deliver = self._routes[p[0]][0]
+        deliver = self._routes[p[0]]
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
                            lambda: deliver(p, sim.now_ns), "flow%s" % p[0])
         if self.queue:

@@ -11,28 +11,15 @@ from hypothesis import strategies as st
 
 from lbesim.controllers import (LedbatController, LpController,
                                 NiceController, RenoController, SlidingExtrema,
-                                buffer_delay_s, ledbat_offset,
-                                lp_early_congestion, lp_update_delay,
-                                make_controller)
+                                buffer_delay_s, make_controller)
 from lbesim.engine import Simulator
+from oracles import (StubFlow, ledbat_offset, lp_early_congestion,
+                     lp_update_delay, nice_mark_threshold)
 
 INF = float("inf")
 
 
-class StubFlow:
-    """Bare attribute bag standing in for a FlowEndpoint."""
-
-    def __init__(self, cwnd=10.0, ssthresh=2.0, sim=None):
-        self.cwnd = cwnd
-        self.ssthresh = ssthresh
-        self.sim = sim or Simulator()
-        self.srtt = 0.05
-        self.flow_id = 0
-        self.snd_next = 0
-        self.snd_una = 0
-
-
-# -- delay filter oracles ------------------------------------------------
+# -- delay filters: on_ack against the oracles ---------------------------
 
 def test_lp_update_delay_oracle_100_random_inputs():
     rng = random.Random(7)
@@ -42,11 +29,11 @@ def test_lp_update_delay_oracle_100_random_inputs():
         dmax = dmin + rng.uniform(0.0, 0.2)
         d = rng.uniform(0.001, 0.3)
         alpha = rng.uniform(0.01, 1.0)
-        ewma, mn, mx = lp_update_delay(prev, dmin, dmax, d, alpha)
-        expected = d if prev is None else (1.0 - alpha) * prev + alpha * d
-        assert ewma == pytest.approx(expected)
-        assert mn == min(dmin, d)
-        assert mx == max(dmax, d)
+        ctl = LpController(alpha=alpha)
+        ctl.d_ewma, ctl.d_min, ctl.d_max = prev, dmin, dmax
+        ctl.on_ack(StubFlow(), d + 0.025, d)
+        assert (ctl.d_ewma, ctl.d_min, ctl.d_max) == lp_update_delay(
+            prev, dmin, dmax, d, alpha)
 
 
 def test_lp_early_congestion_oracle_100_random_inputs():
@@ -56,8 +43,15 @@ def test_lp_early_congestion_oracle_100_random_inputs():
         dmax = dmin + rng.uniform(0.0, 0.2)
         ewma = rng.uniform(0.0, 0.3)
         delta = rng.uniform(0.0, 1.0)
-        got = lp_early_congestion(ewma, dmin, dmax, delta)
-        assert got == (ewma > dmin + (dmax - dmin) * delta)
+        # alpha = 1 makes the smoothed delay the sample itself
+        ctl = LpController(alpha=1.0, delta=delta)
+        ctl.d_min, ctl.d_max = dmin, dmax
+        ctl.on_ack(StubFlow(), ewma + 0.025, ewma)
+        level = lp_early_congestion(ewma, min(dmin, ewma), max(dmax, ewma),
+                                    delta)
+        # an armed detector reacts to the level: halve, then infer
+        assert ctl.armed is (not level)
+        assert (ctl.phase == "inference") is level
 
 
 def test_ledbat_offset_oracle_100_random_inputs():
@@ -66,7 +60,14 @@ def test_ledbat_offset_oracle_100_random_inputs():
         tau = rng.uniform(0.001, 0.12)
         dmin = rng.uniform(0.01, 0.05)
         d = dmin + rng.uniform(0.0, 0.2)
-        assert ledbat_offset(tau, d, dmin) == pytest.approx(tau - (d - dmin))
+        # G <= 1, so the step is gamma times the offset, never capped
+        gamma = rng.uniform(0.1, 0.9) / tau
+        ctl = LedbatController(tau=tau, gamma=gamma)
+        ctl.d_min = dmin
+        flow = StubFlow(cwnd=20.0)
+        ctl.on_ack(flow, d + 0.025, d)
+        off = ledbat_offset(tau, d, dmin)
+        assert flow.cwnd == max(20.0 + gamma * off / 20.0, 1.0)
 
 
 def test_nice_mark_threshold_oracle_100_random_inputs():
@@ -74,10 +75,19 @@ def test_nice_mark_threshold_oracle_100_random_inputs():
     for _ in range(100):
         delta = rng.uniform(0.0, 1.0)
         ctl = NiceController(delta=delta)
-        ctl.rtt_min = rng.uniform(0.01, 0.1)
-        ctl.rtt_max = ctl.rtt_min + rng.uniform(0.0, 0.3)
-        expected = ctl.rtt_min + (ctl.rtt_max - ctl.rtt_min) * delta
-        assert ctl.mark_threshold() == pytest.approx(expected)
+        flow = StubFlow(cwnd=1.0)
+        flow.snd_next = 10 ** 6  # no epoch closes: the marks stay counted
+        rtts = [rng.uniform(0.01, 0.1), rng.uniform(0.01, 0.4),
+                rng.uniform(0.01, 0.4)]
+        marked = 0
+        for i, rtt in enumerate(rtts):
+            ctl.on_ack(flow, rtt, rtt / 2.0)
+            lo, hi = min(rtts[:i + 1]), max(rtts[:i + 1])
+            marked += rtt > nice_mark_threshold(lo, hi, delta)
+            assert (ctl.rtt_min, ctl.rtt_max) == (lo, hi)
+            assert (ctl.marked, ctl.total) == (marked, i + 1)
+            # slow start ends at the first marked ack
+            assert ctl.in_slow_start is (marked == 0)
 
 
 def test_ledbat_step_oracle_100_random_inputs():
@@ -93,8 +103,8 @@ def test_ledbat_step_oracle_100_random_inputs():
         d = rng.uniform(0.01, 0.3)
         ctl.on_ack(flow, d + 0.025, d)
         dmin2 = min(dmin, d)
-        step = min(gamma * (tau - (d - dmin2)), 1.0)  # ramp capped at 1/RTT
-        assert flow.cwnd == pytest.approx(max(c + step / c, 1.0))
+        step = min(gamma * ledbat_offset(tau, d, dmin2), 1.0)  # ramp capped at 1/RTT
+        assert flow.cwnd == max(c + step / c, 1.0)
         assert ctl.d_min == dmin2
 
 
@@ -394,7 +404,7 @@ def test_ledbat_optional_slow_start_stops_at_target():
     assert not ctl.in_slow_start
 
 
-# -- inline filters against their reference helpers ---------------------
+# -- inline filters against a fold over the oracles ---------------------
 
 class HelperLp(LpController):
     """on_ack as a fold over lp_update_delay and lp_early_congestion."""
@@ -433,7 +443,7 @@ class HelperLedbat(LedbatController):
 
 
 class HelperNice(NiceController):
-    """on_ack as a fold over mark_threshold, min and max."""
+    """on_ack as a fold over nice_mark_threshold, min and max."""
 
     def on_ack(self, flow, rtt, owd):
         self._window.add(flow.sim.now, rtt)
@@ -441,7 +451,8 @@ class HelperNice(NiceController):
         self.rtt_min = self._window.min
         self.rtt_max = self._window.max
         self.total += 1
-        marked = rtt > self.mark_threshold()
+        marked = rtt > nice_mark_threshold(self.rtt_min, self.rtt_max,
+                                           self.delta)
         if marked:
             self.marked += 1
         if self.in_slow_start:

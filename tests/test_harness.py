@@ -9,7 +9,7 @@ import sys
 from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lbesim import cli, harness
@@ -86,10 +86,16 @@ def test_load_scenario_rejects_bad_controller_params():
     ("flows.0.protocol=reno\nflows.0.extra_return_delay_ms=true\n", 2,
      "extra_return_delay_ms"),
     ("flows.0.protocol=ledbat\nflows.0.params._scenario=5\n", 2, "_scenario"),
+    ("buffer_pkts=10000000\nflows.0.protocol=ledbat\nflows.0.params.T_pct=1e308\n",
+     3, "target must be positive and finite"),
+    # buffer_pkts * pkt_size_bytes * 8 is past the largest float
+    ("buffer_pkts=1.2e305\nflows.0.protocol=ledbat\nflows.0.params.T_pct=50\n",
+     3, "target must be positive and finite"),
 ], ids=["param-not-a-number", "nan-capacity", "infinite-horizon",
         "non-boolean-slow-start", "negative-lp-alpha", "zero-nice-floor",
         "start-at-horizon", "underflowing-target", "fractional-buffer",
-        "boolean-delay", "hidden-scenario-param"])
+        "boolean-delay", "hidden-scenario-param", "overflowing-target",
+        "target-of-a-buffer-too-large-for-a-float"])
 def test_load_scenario_rejects_bad_values_with_line(text, line, field):
     with pytest.raises(ConfigError, match="line %d: .*%s" % (line, field)):
         load_scenario(text)
@@ -121,6 +127,7 @@ _DOC_VALUES = st.one_of(
 
 
 @given(st.lists(st.tuples(st.sampled_from(_DOC_KEYS), _DOC_VALUES), max_size=8))
+@example([("buffer_pkts", "1.1984620899082106e+305"), ("flows.0.protocol", "reno")])
 def test_any_document_loads_or_raises_config_error(pairs):
     try:
         cfg = load_scenario("\n".join("%s=%s" % kv for kv in pairs))
@@ -355,7 +362,7 @@ _LONG = 10**5000  # an int past Python's 4,300-digit printing limit
 
 @pytest.mark.parametrize("call, match", [
     (lambda: ScenarioConfig(horizon_s=_LONG, flows=[FlowConfig("reno")]).validate(),
-     r"^horizon_s must be finite, positive and at most 2\*\*63 ns, "
+     r"^horizon_s must be at least 1 ns and at most 2\*\*63 ns, "
      "got <int of 5001 digits>$"),
     (lambda: run_sweep(SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s",
                                  [-_LONG])),
@@ -526,6 +533,44 @@ def test_cli_time_too_long_for_nanoseconds_is_a_usage_error(tmp_path, capsys,
     assert "line %d: %s" % (i + 1, field) in err
     assert "at most 2**63 ns" in err
     assert "internal error" not in err
+
+
+# One line of the README example changed so that a positive time rounds to
+# 0 ns: the serialization time (0.12 ns at 100 Tbit/s) and the horizon.
+_UNDERFLOWS = [
+    ("capacity_bps", "1e14", "capacity_bps: the serialization time"),
+    ("horizon_s", "1e-12", "horizon_s"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", _UNDERFLOWS,
+                         ids=[key for key, _, _ in _UNDERFLOWS])
+def test_cli_time_that_rounds_to_0_ns_is_a_usage_error(tmp_path, capsys,
+                                                       key, value, field):
+    lines = readme_example().splitlines()
+    [i] = [n for n, line in enumerate(lines) if line.startswith(key + "=")]
+    lines[i] = "%s=%s" % (key, value)
+    cfg = write(tmp_path, "underflow.cfg", "\n".join(lines) + "\n")
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "line %d: %s" % (i + 1, field) in err
+    assert "at least 1 ns" in err
+    assert "internal error" not in err
+
+
+def test_times_of_1_ns_validate_and_shorter_ones_do_not():
+    ScenarioConfig(horizon_s=1e-9, fwd_prop_delay_s=1e-9,
+                   capacity_bps=1500 * 8 / 1e-9,
+                   flows=[FlowConfig("reno")]).validate()
+    for cfg, field in (
+            (ScenarioConfig(horizon_s=0.4e-9, flows=[FlowConfig("reno")]), "horizon_s"),
+            (ScenarioConfig(fwd_prop_delay_s=1e-12, flows=[FlowConfig("reno")]),
+             "fwd_prop_delay_s"),
+            (ScenarioConfig(capacity_bps=1500 * 8 / 0.4e-9,
+                            flows=[FlowConfig("reno")]), "capacity_bps")):
+        with pytest.raises(ConfigError, match="^%s.* at least 1 ns" % field) as exc:
+            cfg.validate()
+        assert exc.value.key == field
 
 
 @pytest.mark.parametrize("cfg, field", [

@@ -14,7 +14,6 @@ class NullController:
 
     protocol = "null"
     inflate_on_dupack = False
-    floor = 1.0
 
     def on_ack(self, flow, rtt, owd):
         pass
@@ -28,7 +27,7 @@ def make_flow(controller=None, capacity=10e6, delay=0.025, buffer_pkts=100):
     link = BottleneckLink(sim, capacity, delay, buffer_pkts)
     f = FlowEndpoint(sim, link, flow_id=0,
                      controller=controller or RenoController())
-    link.connect(0, f.on_data_arrival, f.pkt_size)
+    link.connect(0, f.on_data_arrival)
     return sim, link, f
 
 
@@ -42,7 +41,7 @@ def test_single_flow_fills_the_link():
     sim.run_until(5.0)
     assert f.delivered_pkts > 1000
     # goodput counts exactly the new in-order bytes the receiver accepted
-    assert sum(f.window_bytes.values()) == f.rx_next * f.pkt_size
+    assert sum(f.window_bytes.values()) == f.rx_next * link.pkt_size
     assert conservation_ok(f)
 
 
@@ -51,7 +50,7 @@ def test_loss_recovery_with_small_buffer():
     f.start()
     sim.run_until(10.0)
     assert f.packets_dropped > 0          # slow start overruns the buffer
-    assert sum(f.window_bytes.values()) == f.rx_next * f.pkt_size
+    assert sum(f.window_bytes.values()) == f.rx_next * link.pkt_size
     assert conservation_ok(f)
     # recovery keeps most of the pipe despite the slow-start overshoot
     assert sum(f.window_bytes.values()) * 8.0 / 10.0 > 0.6 * 10e6
@@ -260,7 +259,7 @@ def test_packets_arriving_after_the_horizon_stay_in_the_network():
         arrivals.append(at_ns)
         f.on_data_arrival(p, at_ns)
 
-    link.connect(0, receive, f.pkt_size)
+    link.connect(0, receive)
     f.start()
     sim.run_until(2.0)
     late = sum(1 for t in arrivals if t > f.horizon_ns)
