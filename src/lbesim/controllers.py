@@ -3,9 +3,11 @@ best-effort schemes (TCP-LP, TCP-NICE, LEDBAT).
 
 All controllers implement the same contract: the endpoint calls
 on_ack(flow, rtt, owd) for every new cumulative ack, with the RTT and
-one-way-delay samples of the acked data packet, and on_loss() when a loss
-is detected. Controllers mutate flow.cwnd (and flow.ssthresh where
-relevant); the endpoint owns retransmission, timers and window clocking.
+one-way-delay samples of the acked data packet, and on_loss(flow, kind)
+on a "dupack" or "timeout" loss. Controllers mutate flow.cwnd (and
+flow.ssthresh where relevant); the endpoint owns retransmission, timers
+and window clocking. inflate_on_dupack asks it for Reno's fast-recovery
+window inflation; the delay-based schemes keep the plain halving.
 
 on_ack runs on every ack, so the LP, LEDBAT and NICE filters are written
 out inline there, with comparisons in place of min() and max(). The tests
@@ -60,20 +62,7 @@ class SlidingExtrema:
             self.max = max(b[2] for b in buckets)
 
 
-class Controller:
-    protocol = "base"
-    # Reno-style fast-recovery window inflation; delay-based schemes keep
-    # the plain halving instead.
-    inflate_on_dupack = False
-
-    def on_ack(self, flow, rtt, owd):
-        raise NotImplementedError
-
-    def on_loss(self, flow, kind):
-        raise NotImplementedError
-
-
-class RenoController(Controller):
+class RenoController:
     """Standard TCP Reno: slow start, additive increase, halving on loss."""
 
     protocol = "reno"
@@ -92,7 +81,7 @@ class RenoController(Controller):
         # timeout mechanics (cwnd=1, ssthresh, backoff) live in the endpoint
 
 
-class LpController(Controller):
+class LpController:
     """TCP-LP: Reno dynamics gated by a smoothed one-way-delay threshold.
 
     An early congestion indication is the *crossing* of the threshold, not
@@ -186,7 +175,7 @@ class LpController(Controller):
             self._exit_inference(flow)  # timeout mechanics live in the endpoint
 
 
-class NiceController(Controller):
+class NiceController:
     """TCP-NICE: Vegas window dynamics plus per-RTT halving when the
     majority of packets in an RTT see a delay beyond the min/max-range
     threshold. cwnd may drop below one packet down to a configurable floor
@@ -209,15 +198,15 @@ class NiceController(Controller):
     the whole run to converge."""
 
     protocol = "nice"
+    inflate_on_dupack = False
+    alpha_v = 1.0  # the Vegas band, in packets of the flow's own backlog
+    beta_v = 3.0
 
-    def __init__(self, delta=0.2, phi=0.5, floor=1.0 / 48.0,
-                 alpha_v=1.0, beta_v=3.0, history_s=10.0,
+    def __init__(self, delta=0.2, phi=0.5, floor=1.0 / 48.0, history_s=10.0,
                  increase_rate=20.0):
         self.delta = delta
         self.phi = phi
         self.floor = floor
-        self.alpha_v = alpha_v
-        self.beta_v = beta_v
         self.increase_rate = increase_rate
         self._window = SlidingExtrema(history_s)
         self.base_rtt = INF  # all-time minimum: the propagation reference
@@ -276,11 +265,12 @@ class NiceController(Controller):
         self.in_slow_start = False
 
 
-class LedbatController(Controller):
+class LedbatController:
     """LEDBAT: linear controller steering the queuing delay (one-way delay
     above the running base delay) toward a fixed target."""
 
     protocol = "ledbat"
+    inflate_on_dupack = False
 
     def __init__(self, tau=0.025, gamma=None, slow_start=False):
         self.tau = tau

@@ -35,7 +35,7 @@ class SimulationFault(RuntimeError):
 # A handle is the list [at_ns, seq, kind, fn, label]: the key the event
 # dispatches at, then what it calls. A heap entry whose key no longer
 # matches its handle's is stale. seq is SPENT once the event fired or was
-# cancelled.
+# cancelled; a handle not SPENT has exactly one heap entry, moved or not.
 SPENT = -1
 # A schedule made at now_ns gets the sequence number (now_ns << SEQ_BITS)
 # + n, n counting every schedule so far (and staying below 1 << SEQ_BITS),
@@ -58,8 +58,8 @@ class Simulator:
     equal to now_ns / NS_PER_S. Both are plain attributes that only the
     run loop sets."""
 
-    __slots__ = ("now_ns", "now", "_heap", "_stamp", "_seq", "_live",
-                 "_processed", "trace")
+    __slots__ = ("now_ns", "now", "_heap", "_stamp", "_seq", "_processed",
+                 "trace")
 
     def __init__(self, trace=None):
         self.now_ns = 0
@@ -67,7 +67,6 @@ class Simulator:
         self._heap = []
         self._stamp = 0      # now_ns << SEQ_BITS, the time part of a new seq
         self._seq = 0
-        self._live = 0       # scheduled minus cancelled, fired ones included
         self._processed = 0
         self.trace = trace  # optional callable(line) for the debug event log
 
@@ -85,7 +84,6 @@ class Simulator:
             )
         seq = self._stamp + self._seq
         self._seq += 1
-        self._live += 1
         ev = [at_ns, seq, kind, fn, label]
         heappush(self._heap, (at_ns, seq, ev))
         return ev
@@ -134,7 +132,6 @@ class Simulator:
         if ev[1] == SPENT:
             return False
         ev[1] = SPENT
-        self._live -= 1
         return True
 
     @staticmethod
@@ -182,4 +179,4 @@ class Simulator:
         self.now = t_end_ns / NS_PER_S
         self._stamp = t_end_ns << SEQ_BITS
         return RunStats(events_processed=processed,
-                        pending=self._live - processed)
+                        pending=sum(ev[1] != SPENT for _, _, ev in heap))

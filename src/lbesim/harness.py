@@ -43,20 +43,22 @@ def _finite(value):
             and abs(value) <= sys.float_info.max)
 
 
-# The engine keeps time in integer nanoseconds. A time field, and the
-# time one packet takes to serialize, must be at most 2**63 ns (about 292
-# years, the range of a signed 64-bit count), so that none overflows on its
-# way to nanoseconds, and at least 1 ns, so that none rounds to 0.
+# The engine keeps time in integer nanoseconds, and each time is judged by
+# the count it rounds to (engine.to_ns). A time field, and the time one
+# packet takes to serialize, must be at most 2**63 ns (about 292 years, the
+# range of a signed 64-bit count), so that none overflows on its way to
+# nanoseconds, and at least 1 ns, so that none rounds to 0; a delay may be 0.
 MAX_TIME_S = 2 ** 63 / engine.NS_PER_S
 
-# kind -> what a field of that kind must hold, in words and as a test
+# kind -> what a field of that kind must hold, in words and as a test; the
+# bounds in seconds come first, so that no huge value overflows in to_ns
 _KINDS = {
     "positive": ("finite and positive", lambda v: _finite(v) and v > 0),
     "count": ("a positive whole number", lambda v: _finite(v) and v > 0 and v == int(v)),
-    "time": ("at least 1 ns and at most 2**63 ns",
-             lambda v: _finite(v) and 1 / engine.NS_PER_S <= v <= MAX_TIME_S),
-    "delay": ("finite, non-negative and at most 2**63 ns",
-              lambda v: _finite(v) and 0 <= v <= MAX_TIME_S),
+    "time": ("at least 1 ns and at most 2**63 ns once rounded to whole ns",
+             lambda v: _finite(v) and 0 < v <= MAX_TIME_S and engine.to_ns(v) >= 1),
+    "delay": ("0, or at least 1 ns and at most 2**63 ns once rounded to whole ns",
+              lambda v: (_finite(v) and v == 0) or _KINDS["time"][1](v)),
     "protocol": ("one of " + ", ".join(PROTOCOLS), lambda v: v in PROTOCOLS),
 }
 
@@ -118,7 +120,7 @@ class ScenarioConfig:
                 if path.startswith("flows.N.") and kind != "param":
                     name = path[len("flows.N."):]
                     _check("flows.%d.%s" % (i, name), kind, getattr(fc, name))
-            if fc.start_at >= self.horizon_s:
+            if engine.to_ns(fc.start_at) >= engine.to_ns(self.horizon_s):
                 raise ConfigError("flows.%d.start_at: %g is not before the "
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
                                   key="flows.%d.start_at" % i)
@@ -131,7 +133,7 @@ class ScenarioConfig:
                 raise ConfigError("flows.%d.params: %s" % (i, exc), key=key) from exc
             if fc.protocol == "lp":  # no RTT outlasts the run
                 _check("flows.%d.params.inference_rtts" % i
-                       if "inference_rtts" in fc.params else "horizon_s", "delay",
+                       if "inference_rtts" in fc.params else "horizon_s", "time",
                        controllers[-1].inference_rtts * self.horizon_s,
                        "the longest inference phase of flow %d "
                        "(inference_rtts * horizon_s)" % i)
@@ -400,6 +402,7 @@ class SweepPoint:
     axis_value: object
     label: str
     result: RunResult
+    rep: int = None            # the run's index if the spec repeats, else None
 
 
 def run_sweep(spec, scenario_prefix="sweep", event_log=None):
@@ -415,9 +418,9 @@ def run_sweep(spec, scenario_prefix="sweep", event_log=None):
             raise ConfigError("sweep point %s: %s" % (label, exc), key=exc.key) from exc
     points = []
     for cfg, value, label in zip(configs, spec.values, labels):
-        for rep in range(spec.repeat):
+        for rep in range(spec.repeat) if spec.repeat > 1 else [None]:
             sid = "%s:%s" % (scenario_prefix, label)
-            if spec.repeat > 1:
+            if rep is not None:
                 sid += ":rep%d" % rep
             try:
                 result = run_scenario(
@@ -426,13 +429,15 @@ def run_sweep(spec, scenario_prefix="sweep", event_log=None):
                     event_log=event_log)
             except Exception as exc:
                 raise RuntimeError("sweep point %s failed: %r" % (label, exc)) from exc
-            points.append(SweepPoint(axis_value=value, label=label, result=result))
+            points.append(SweepPoint(value, label, result, rep))
     return points
 
 
 def _axis_label(axis, value):
     if axis == "flows":
         return "+".join(fc.protocol for fc in value)
+    if isinstance(value, bool):  # as the config grammar writes it
+        return "true" if value else "false"
     if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
         return "%g" % value
     return shown(value, str)  # inf and nan print as with %g; a huge int has no %g
@@ -600,9 +605,10 @@ def emit_plot_data(points, figure_id, outdir):
     written.append(csv_path)
 
     for pt in points:
+        run = pt.label if pt.rep is None else "%s_rep%d" % (pt.label, pt.rep)
         written += write_traces(outdir, pt.result.sample_times,
                                 pt.result.cwnd_traces,
-                                prefix="%s_%s_" % (figure_id, pt.label))
+                                prefix="%s_%s_" % (figure_id, run))
 
     plt_path = os.path.join(outdir, "%s.plt" % figure_id)
     with open(plt_path, "w") as fh:

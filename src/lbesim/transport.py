@@ -86,9 +86,6 @@ class FlowEndpoint:
     def in_flight(self):
         return self.snd_next - self.snd_una
 
-    def window(self):
-        return math.floor(self.cwnd + self.fractional_credit)
-
     def start(self):
         self.sim.schedule_at(self.start_at, engine.FLOW_START,
                              self.try_send, label="start-" + self.label)
@@ -146,7 +143,7 @@ class FlowEndpoint:
         sender, so credit accrues on a timer: +cwnd per (s)RTT until one full
         packet of allowance is available."""
         if (self.cwnd < 1.0 and self.in_flight == 0
-                and self.window() < 1
+                and self.cwnd + self.fractional_credit < 1.0
                 and self._credit_timer is None):
             interval = self.srtt if self.srtt else self.rto
             self._credit_timer = self.sim.schedule_after(

@@ -172,8 +172,10 @@ def test_cancelled_events_never_fire(events):
 
 def _play(ops, lazy):
     """Apply schedule/cancel/move/run steps; a move uses reschedule when
-    lazy, else cancel followed by a fresh schedule_at_ns. Returns the
-    dispatched (time_ns, label) sequence and the final RunStats."""
+    lazy, else cancel followed by a fresh schedule_at_ns. Every run's
+    RunStats.pending must count the handles still pending, moved ones once.
+    Returns the dispatched (time_ns, label) sequence and the final
+    RunStats."""
     sim = Simulator()
     fired = []
     handles, fns = [], []
@@ -194,8 +196,10 @@ def _play(ops, lazy):
                 sim.cancel(handles[k])
             handles[k] = sim.schedule_at_ns(at_ns, "K", fns[k], str(k))
         else:
-            sim.run_until(at_ns / NS_PER_S)
+            stats = sim.run_until(at_ns / NS_PER_S)
+            assert stats.pending == sum(map(sim.pending, handles))
     stats = sim.run_until(sim.now + 1.0)
+    assert stats.pending == sum(map(sim.pending, handles)) == 0
     return fired, stats
 
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from lbesim import cli, harness
 from lbesim.harness import (ConfigError, FlowConfig, ScenarioConfig,
-                            SweepSpec, expand_experiment, load_scenario,
-                            load_sweep, run_scenario, run_sweep, set_param,
-                            sweep_csv, write_traces)
+                            SweepSpec, emit_plot_data, expand_experiment,
+                            load_scenario, load_sweep, run_scenario, run_sweep,
+                            set_param, sweep_csv, write_traces)
 
 GOOD_CONFIG = """
 # a reno flow against a delay-target flow
@@ -81,6 +81,9 @@ def test_load_scenario_rejects_bad_controller_params():
     ("flows.0.protocol=lp\nflows.0.params.alpha=-5\n", 2, "alpha"),
     ("flows.0.protocol=nice\nflows.0.params.floor=0\n", 2, "floor"),
     ("horizon_s=5\nflows.0.protocol=reno\nflows.0.start_at=5\n", 3, "start_at"),
+    # 4,999,999,999.6 ns rounds to the horizon's nanosecond
+    ("horizon_s=5\nflows.0.protocol=reno\nflows.0.start_at=4.9999999996\n", 3,
+     "start_at"),
     ("flows.0.protocol=ledbat\nflows.0.params.tau_ms=5e-324\n", 2, "target"),
     ("buffer_pkts=2.5\nflows.0.protocol=reno\n", 1, "buffer_pkts"),
     ("flows.0.protocol=reno\nflows.0.extra_return_delay_ms=true\n", 2,
@@ -93,8 +96,8 @@ def test_load_scenario_rejects_bad_controller_params():
      3, "target must be positive and finite"),
 ], ids=["param-not-a-number", "nan-capacity", "infinite-horizon",
         "non-boolean-slow-start", "negative-lp-alpha", "zero-nice-floor",
-        "start-at-horizon", "underflowing-target", "fractional-buffer",
-        "boolean-delay", "hidden-scenario-param", "overflowing-target",
+        "start-at-horizon", "start-rounding-to-horizon", "underflowing-target",
+        "fractional-buffer", "boolean-delay", "hidden-scenario-param", "overflowing-target",
         "target-of-a-buffer-too-large-for-a-float"])
 def test_load_scenario_rejects_bad_values_with_line(text, line, field):
     with pytest.raises(ConfigError, match="line %d: .*%s" % (line, field)):
@@ -165,7 +168,8 @@ def test_validate_rejects_non_positive_values():
         ScenarioConfig(horizon_s=0.0,
                        flows=[FlowConfig("reno")]).validate()
     cfg = ScenarioConfig(flows=[FlowConfig("reno", start_at=-1.0)])
-    with pytest.raises(ConfigError, match="non-negative"):
+    with pytest.raises(ConfigError,
+                       match=r"^flows\.0\.start_at must be 0, or at least 1 ns"):
         cfg.validate()
 
 
@@ -199,9 +203,10 @@ _TEXT_FIELDS = [
     ("pkt_size_bytes", "pkt_size_bytes", st.integers(40, 9000)),
     ("horizon_s", "horizon_s", st.floats(10.0, 1e4)),
     ("flows.0.protocol", "flows.0.protocol", st.sampled_from(harness.PROTOCOLS)),
-    ("flows.1.start_at", "flows.1.start_at", st.floats(0.0, 9.0)),
+    # a delay is 0 or rounds to at least 1 ns
+    ("flows.1.start_at", "flows.1.start_at", st.just(0.0) | st.floats(1e-9, 9.0)),
     ("flows.0.extra_return_delay_ms", "flows.0.extra_return_delay_s",
-     st.floats(0.0, 500.0)),
+     st.just(0.0) | st.floats(1e-6, 500.0)),
     ("flows.1.params.tau_ms", "flows.1.params.tau_ms", st.floats(0.1, 200.0)),
     ("flows.1.params.G", "flows.1.params.G", st.floats(0.01, 100.0)),
     ("flows.1.params.gamma", "flows.1.params.gamma", st.floats(0.1, 1e3)),
@@ -362,8 +367,8 @@ _LONG = 10**5000  # an int past Python's 4,300-digit printing limit
 
 @pytest.mark.parametrize("call, match", [
     (lambda: ScenarioConfig(horizon_s=_LONG, flows=[FlowConfig("reno")]).validate(),
-     r"^horizon_s must be at least 1 ns and at most 2\*\*63 ns, "
-     "got <int of 5001 digits>$"),
+     r"^horizon_s must be at least 1 ns and at most 2\*\*63 ns once rounded to "
+     "whole ns, got <int of 5001 digits>$"),
     (lambda: run_sweep(SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s",
                                  [-_LONG])),
      "^sweep point <int of 5001 digits>: horizon_s must be"),
@@ -420,6 +425,30 @@ def test_run_sweep_repeat_marks_reps():
     points = run_sweep(spec, scenario_prefix="p")
     assert [pt.result.report.scenario_id for pt in points] == \
         ["p:1:rep0", "p:1:rep1"]
+
+
+def test_repeated_runs_write_their_own_trace_files(tmp_path):
+    # two fig1 pairings, each run twice: 8 trace files, the CSV and the script
+    spec = expand_experiment("fig1")
+    spec.base.horizon_s = 0.5
+    spec.values, spec.labels, spec.repeat = spec.values[:2], spec.labels[:2], 2
+    written = emit_plot_data(run_sweep(spec, scenario_prefix="fig1"), "fig1",
+                             str(tmp_path))
+    assert len(written) == len(set(written)) == 10
+    assert sorted(os.path.basename(p) for p in written) == sorted(os.listdir(tmp_path))
+    assert {"fig1_reno-lp_rep0_flow1_cwnd.csv",
+            "fig1_lp-lp_rep1_flow0_cwnd.csv"} <= set(os.listdir(tmp_path))
+
+
+def test_boolean_sweep_values_print_as_the_grammar_writes_them():
+    spec = load_sweep("axis=flows.1.params.slow_start\nvalues=true,false\n"
+                      "horizon_s=0.5\nflows.0.protocol=reno\nflows.1.protocol=ledbat\n")
+    points = run_sweep(spec, scenario_prefix="s")
+    assert [pt.label for pt in points] == ["true", "false"]
+    rows = sweep_csv(points).splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["s:true", "axis=flows.1.params.slow_start;protocols=reno+ledbat;value=true"],
+        ["s:false", "axis=flows.1.params.slow_start;protocols=reno+ledbat;value=false"]]
 
 
 def test_load_sweep_round_trip():
@@ -536,10 +565,13 @@ def test_cli_time_too_long_for_nanoseconds_is_a_usage_error(tmp_path, capsys,
 
 
 # One line of the README example changed so that a positive time rounds to
-# 0 ns: the serialization time (0.12 ns at 100 Tbit/s) and the horizon.
+# 0 ns: the serialization time (0.12 ns at 100 Tbit/s), the horizon, and
+# the two delays, which may be 0 but not round to it.
 _UNDERFLOWS = [
     ("capacity_bps", "1e14", "capacity_bps: the serialization time"),
     ("horizon_s", "1e-12", "horizon_s"),
+    ("flows.1.start_at", "1e-12", "flows.1.start_at"),
+    ("flows.1.extra_return_delay_ms", "1e-7", "flows.1.extra_return_delay_s"),
 ]
 
 
@@ -562,12 +594,21 @@ def test_times_of_1_ns_validate_and_shorter_ones_do_not():
     ScenarioConfig(horizon_s=1e-9, fwd_prop_delay_s=1e-9,
                    capacity_bps=1500 * 8 / 1e-9,
                    flows=[FlowConfig("reno")]).validate()
+    # judged by the nanoseconds they round to: 1e-6 ms is 9.999999999999999e-10 s
+    cfg = load_scenario("fwd_prop_delay_ms=1e-6\nflows.0.protocol=reno\n"
+                        "flows.0.start_at=0.6e-9\nflows.0.extra_return_delay_ms=1e-6\n")
+    assert [harness.engine.to_ns(t) for t in (cfg.fwd_prop_delay_s, cfg.flows[0].start_at,
+                                              cfg.flows[0].extra_return_delay_s)] == [1, 1, 1]
     for cfg, field in (
             (ScenarioConfig(horizon_s=0.4e-9, flows=[FlowConfig("reno")]), "horizon_s"),
             (ScenarioConfig(fwd_prop_delay_s=1e-12, flows=[FlowConfig("reno")]),
              "fwd_prop_delay_s"),
             (ScenarioConfig(capacity_bps=1500 * 8 / 0.4e-9,
-                            flows=[FlowConfig("reno")]), "capacity_bps")):
+                            flows=[FlowConfig("reno")]), "capacity_bps"),
+            (ScenarioConfig(flows=[FlowConfig("reno", start_at=0.4e-9)]),
+             "flows.0.start_at"),
+            (ScenarioConfig(flows=[FlowConfig("reno", extra_return_delay_s=1e-12)]),
+             "flows.0.extra_return_delay_s")):
         with pytest.raises(ConfigError, match="^%s.* at least 1 ns" % field) as exc:
             cfg.validate()
         assert exc.value.key == field
@@ -627,6 +668,8 @@ def test_lp_inference_rtts_is_bounded_by_the_horizon():
             (20.0, {"inference_rtts": 1e308}, "flows.1.params.inference_rtts"),
             (120.0, {"inference_rtts": 1e9}, "flows.1.params.inference_rtts"),
             (1.0, {"inference_rtts": 2 * harness.MAX_TIME_S}, "flows.1.params.inference_rtts"),
+            # and at least 1 ns: 1.2e-10 s would round to 0
+            (120.0, {"inference_rtts": 1e-12}, "flows.1.params.inference_rtts"),
             (5e9, {}, "horizon_s")):  # the default, so the horizon is at fault
         with pytest.raises(ConfigError, match="^%s: the longest inference phase "
                            "of flow 1 " % re.escape(key)) as exc:
