@@ -330,31 +330,22 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
         f.horizon_ns = horizon_ns
         f.start()
 
-    if traces:
+    sample_times, queue_samples, cwnd_traces = None, None, {}
+    if traces:  # the sampler ticks only to fill these
         sample_times, queue_samples = array("d"), array("q")
         cwnd_traces = {f.flow_id: array("d") for f in flows}
-    else:
-        sample_times, queue_samples, cwnd_traces = None, None, {}
 
-    def sample_tick():
-        for f in flows:
-            # packet conservation, checked at every sample
-            if f.packets_sent != f.delivered_pkts + f.packets_dropped + f.in_network:
-                raise AssertionError(
-                    "conservation violated for flow %s" % f.flow_id)
-            if f.in_network < 0:
-                raise AssertionError("negative in-flight for flow %s" % f.flow_id)
-        if traces:
+        def sample_tick():
             sample_times.append(sim.now)
             for f in flows:
                 cwnd_traces[f.flow_id].append(f.cwnd)
             queue_samples.append(link.backlog())
-        next_ns = sim.now_ns + SAMPLE_TICK_NS
-        if next_ns <= horizon_ns:
-            sim.schedule_at_ns(next_ns, engine.METRICS_SAMPLE_TICK,
-                               sample_tick, label="sample")
+            next_ns = sim.now_ns + SAMPLE_TICK_NS
+            if next_ns <= horizon_ns:
+                sim.schedule_at_ns(next_ns, engine.METRICS_SAMPLE_TICK,
+                                   sample_tick, label="sample")
 
-    sim.schedule_at(0.0, engine.METRICS_SAMPLE_TICK, sample_tick, label="sample")
+        sim.schedule_at(0.0, engine.METRICS_SAMPLE_TICK, sample_tick, label="sample")
     stats = sim.run_until(cfg.horizon_s)
     if traces:  # copies without growth slack: 8 bytes per value
         sample_times, queue_samples = sample_times[:], queue_samples[:]
@@ -439,7 +430,8 @@ def _axis_label(axis, value):
     if isinstance(value, bool):  # as the config grammar writes it
         return "true" if value else "false"
     if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-        return "%g" % value
+        text = "%g" % value  # unless it would merge two values
+        return text if float(text) == value else repr(value)
     return shown(value, str)  # inf and nan print as with %g; a huge int has no %g
 
 
@@ -584,28 +576,29 @@ def write_traces(outdir, sample_times, cwnd_traces, queue_samples=None,
 
 
 def emit_plot_data(points, figure_id, outdir):
-    """Write a per-figure CSV (x axis = swept value, one column per metric)
-    plus a companion gnuplot script; for trace experiments, also the
-    per-flow (time, cwnd) series."""
+    """Write a per-figure CSV (one row per run, named as its trace files
+    are; one column per metric) plus a companion gnuplot script; for trace
+    experiments, also the per-flow (time, cwnd) series."""
     if not points:
         raise ConfigError("no reports to emit")
     os.makedirs(outdir, exist_ok=True)
     written = []
 
+    runs = [pt.label if pt.rep is None else "%s_rep%d" % (pt.label, pt.rep)
+            for pt in points]
     max_flows = max(len(pt.result.report.per_flow) for pt in points)
     csv_path = os.path.join(outdir, "%s.csv" % figure_id)
     with open(csv_path, "w") as fh:
         cols = ["axis"] + list(metrics.MetricsReport.CSV_COLUMNS[2:])
         cols += ["x%d_bps" % i for i in range(max_flows)]
         fh.write(",".join(cols) + "\n")
-        for pt in points:
+        for pt, run in zip(points, runs):
             r = pt.result.report
-            cells = [pt.label] + r.metric_cells() + [""] * (max_flows - len(r.per_flow))
+            cells = [run] + r.metric_cells() + [""] * (max_flows - len(r.per_flow))
             fh.write(",".join(cells) + "\n")
     written.append(csv_path)
 
-    for pt in points:
-        run = pt.label if pt.rep is None else "%s_rep%d" % (pt.label, pt.rep)
+    for pt, run in zip(points, runs):
         written += write_traces(outdir, pt.result.sample_times,
                                 pt.result.cwnd_traces,
                                 prefix="%s_%s_" % (figure_id, run))

@@ -36,8 +36,7 @@ class FlowEndpoint:
         "ssthresh", "snd_next", "snd_una", "rtx_next", "dupacks", "in_recovery",
         "fractional_credit", "_credit_timer", "srtt", "rttvar", "rto",
         "rto_backoff", "_rto_timer", "horizon_ns", "rx_next", "rx_ooo", "_acks",
-        "packets_sent", "packets_dropped", "delivered_pkts", "window_bytes",
-        "in_network")
+        "packets_sent", "packets_dropped", "delivered_pkts", "window_bytes")
 
     def __init__(self, sim, link, flow_id, controller, return_delay_s=0.025,
                  start_at=0.0):
@@ -57,7 +56,7 @@ class FlowEndpoint:
         self.ssthresh = INITIAL_SSTHRESH
         self.snd_next = 0  # next new sequence number to send
         self.snd_una = 0   # lowest unacknowledged sequence number
-        self.rtx_next = 0  # go-back-N resend pointer after a timeout
+        self.rtx_next = 0  # next to send; behind snd_next in a go-back-N resend
         self.dupacks = 0
         self.in_recovery = False
         self.fractional_credit = 0.0
@@ -80,11 +79,15 @@ class FlowEndpoint:
         self.packets_dropped = 0   # tail-dropped at the bottleneck buffer
         self.delivered_pkts = 0    # arrivals at the receiver, dupes included
         self.window_bytes = defaultdict(int)  # WINDOW_S window -> new in-order bytes
-        self.in_network = 0        # accepted, arriving after the horizon
 
     @property
     def in_flight(self):
         return self.snd_next - self.snd_una
+
+    @property
+    def in_network(self):
+        """Accepted packets that arrive after the horizon, so are never received."""
+        return self.packets_sent - self.packets_dropped - self.delivered_pkts
 
     def start(self):
         self.sim.schedule_at(self.start_at, engine.FLOW_START,
@@ -94,8 +97,8 @@ class FlowEndpoint:
 
     def try_send(self, resend=None):
         """Emit data while the window allows; the source is backlogged and
-        never runs out of data. After a timeout the un-acked region is
-        resent go-back-N style before any new data goes out. A fast
+        never runs out of data. After a timeout rtx_next steps go-back-N
+        through the un-acked region before any new data goes out. A fast
         retransmit passes `resend`, the sequence number to send: that one
         packet goes out whatever the window, and nothing else does.
 
@@ -108,20 +111,16 @@ class FlowEndpoint:
         seq = resend
         while True:
             if seq is None:
-                if self.rtx_next < self.snd_next:
-                    seq = self.rtx_next
-                    if seq - self.snd_una >= window:
-                        break
-                    self.rtx_next = seq + 1
-                else:
-                    seq = self.snd_next
-                    if seq - self.snd_una >= window:  # in flight
-                        break
-                    self.snd_next = self.rtx_next = seq + 1
+                # rtx_next <= snd_next: the sends, an ack's raise to ack_no
+                # and the RTO's reset to snd_una all keep it
+                seq = self.rtx_next
+                if seq - self.snd_una >= window:  # in flight
+                    break
+                self.rtx_next = seq + 1
+                if seq == self.snd_next:  # new data
+                    self.snd_next = seq + 1
             self.packets_sent += 1
-            if enqueue((self.flow_id, seq, now)):
-                self.in_network += 1
-            else:
+            if not enqueue((self.flow_id, seq, now)):
                 self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
             if self._rto_timer is None:
                 self._arm_rto()
@@ -169,7 +168,6 @@ class FlowEndpoint:
             return
         _, seq, sent_at = p
         self.delivered_pkts += 1
-        self.in_network -= 1
         advanced = 0
         if seq == self.rx_next:
             self.rx_next += 1

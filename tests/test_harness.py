@@ -279,6 +279,20 @@ def test_sampler_ticks_at_the_horizon(horizon):
     assert result.sample_times[-1] == horizon
 
 
+def test_traces_add_only_the_sample_ticks():
+    # a lossy 3-flow run: the sampler ticks only with traces on, and adds
+    # nothing but its own events
+    cfg = ScenarioConfig(horizon_s=5.0, buffer_pkts=10, flows=[
+        FlowConfig("reno"), FlowConfig("ledbat", {"tau_ms": 25.0}),
+        FlowConfig("nice")])
+    on, off = run_scenario(cfg, traces=True), run_scenario(cfg)
+    assert on.report.p_l > 0
+    assert on.report.csv_row() == off.report.csv_row()
+    ticks = round(cfg.horizon_s / 0.1) + 1
+    assert len(on.sample_times) == ticks == 51
+    assert on.run_stats.events_processed - off.run_stats.events_processed == ticks
+
+
 def _held_bytes(obj):
     """Bytes that obj and, for a list or tuple, what it holds take."""
     items = obj if isinstance(obj, (list, tuple)) else ()
@@ -320,6 +334,15 @@ def test_run_sweep_orders_points_and_labels():
     csv = sweep_csv(points)
     assert csv.splitlines()[0].startswith("scenario_id,params,eta")
     assert len(csv.splitlines()) == 3
+
+
+def test_close_sweep_values_keep_distinct_labels():
+    # %g would print both as 0.1; a label %g rounds is the value's repr
+    spec = SweepSpec(short_cfg("reno", horizon=0.2), "fwd_prop_delay_s",
+                     [0.1, 0.1000001, 0.025])
+    points = run_sweep(spec, scenario_prefix="p")
+    assert [pt.result.report.scenario_id for pt in points] == \
+        ["p:0.1", "p:0.1000001", "p:0.025"]
 
 
 def test_run_sweep_label_mismatch_raises():
@@ -438,6 +461,10 @@ def test_repeated_runs_write_their_own_trace_files(tmp_path):
     assert sorted(os.path.basename(p) for p in written) == sorted(os.listdir(tmp_path))
     assert {"fig1_reno-lp_rep0_flow1_cwnd.csv",
             "fig1_lp-lp_rep1_flow0_cwnd.csv"} <= set(os.listdir(tmp_path))
+    # each row of the figure CSV starts with the run name its files carry
+    rows = (tmp_path / "fig1.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [
+        "reno-lp_rep0", "reno-lp_rep1", "lp-lp_rep0", "lp-lp_rep1"]
 
 
 def test_boolean_sweep_values_print_as_the_grammar_writes_them():
@@ -807,13 +834,17 @@ def test_cli_run_event_log(tmp_path):
     cfg = write(tmp_path, "scenario.cfg",
                 "horizon_s=0.2\nflows.0.protocol=reno\n")
     log = tmp_path / "events.log"
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"),
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "o"), "--traces",
                      "--event-log", str(log)]) == 0
     events = [l.split() for l in log.read_text().splitlines()]
     assert events and all(len(e) == 3 for e in events)
     assert ["0.000000000", "FlowStart", "start-flow0"] in events
     # the 100 ms metrics sampler is the only MetricsSampleTick
     assert {e[2] for e in events if e[1] == "MetricsSampleTick"} == {"sample"}
+    # and it ticks only with traces on
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "p"),
+                     "--event-log", str(log)]) == 0
+    assert "MetricsSampleTick" not in log.read_text()
 
 
 def test_cli_missing_config_is_a_usage_error(tmp_path, capsys):
