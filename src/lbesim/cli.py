@@ -61,9 +61,19 @@ def _event_log(path):
             yield lambda line: log.write(line + "\n")
 
 
+def _read(path):
+    """The text of path; a byte that is not UTF-8 is a ConfigError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise harness.ConfigError("line %d: not UTF-8 text (%s)" % (
+            data.count(b"\n", 0, exc.start) + 1, exc.reason)) from None
+
+
 def cmd_run(args):
-    with open(args.config) as fh:
-        cfg = harness.load_scenario(fh.read())
+    cfg = harness.load_scenario(_read(args.config))
     with _event_log(args.event_log) as event_log:
         result = harness.run_scenario(
             cfg, traces=args.traces,
@@ -77,8 +87,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    with open(args.spec) as fh:
-        spec = harness.load_sweep(fh.read())
+    spec = harness.load_sweep(_read(args.spec))
     with _event_log(args.event_log) as event_log:
         points = harness.run_sweep(spec, scenario_prefix=os.path.basename(args.spec),
                                    event_log=event_log)

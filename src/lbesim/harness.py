@@ -316,19 +316,17 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
     packets, the transmitting one excluded) are sampled every 100 ms."""
     controllers = cfg._controllers()
     sim = Simulator(trace=event_log)
-    link = BottleneckLink(sim, cfg.capacity_bps, cfg.fwd_prop_delay_s,
+    link = BottleneckLink(cfg.capacity_bps, cfg.fwd_prop_delay_s,
                           cfg.buffer_pkts, cfg.pkt_size_bytes)
+    horizon_ns = engine.to_ns(cfg.horizon_s)
     flows = []
     for i, (fc, ctl) in enumerate(zip(cfg.flows, controllers)):
-        flows.append(FlowEndpoint(
-            sim, link, flow_id=i, controller=ctl,
-            return_delay_s=cfg.fwd_prop_delay_s + fc.extra_return_delay_s,
-            start_at=fc.start_at))
-    horizon_ns = engine.to_ns(cfg.horizon_s)
-    for f in flows:
-        link.connect(f.flow_id, f.on_data_arrival)
+        f = FlowEndpoint(sim, link, flow_id=i, controller=ctl,
+                         return_delay_s=cfg.fwd_prop_delay_s + fc.extra_return_delay_s,
+                         start_at=fc.start_at)
         f.horizon_ns = horizon_ns
         f.start()
+        flows.append(f)
 
     sample_times, queue_samples, cwnd_traces = None, None, {}
     if traces:  # the sampler ticks only to fill these
@@ -339,7 +337,7 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
             sample_times.append(sim.now)
             for f in flows:
                 cwnd_traces[f.flow_id].append(f.cwnd)
-            queue_samples.append(link.backlog())
+            queue_samples.append(link.backlog(sim.now_ns))
             next_ns = sim.now_ns + SAMPLE_TICK_NS
             if next_ns <= horizon_ns:
                 sim.schedule_at_ns(next_ns, engine.METRICS_SAMPLE_TICK,

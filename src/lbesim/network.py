@@ -1,19 +1,16 @@
 """Dumbbell data path: one bottleneck link with a drop-tail FIFO buffer on
 the forward direction, and a delay-only return path for acks.
 
-A data packet is a plain tuple (flow_id, seq, sent_at): the flow it
-belongs to, its sequence number and its send time in seconds. Every packet
-has the link's size (BottleneckLink.pkt_size), so all take one
-serialization time.
-
-The transmitting packet does not occupy a buffer slot. Acks are never
-queued or dropped: the reverse direction is modeled as pure delay, so all
-congestion lives in the forward buffer.
+Every packet has the link's size (BottleneckLink.pkt_size), so all take
+one serialization time. The transmitting packet does not occupy a buffer
+slot. Acks are never queued or dropped: the reverse direction is modeled
+as pure delay, so all congestion lives in the forward buffer.
 
 The link schedules no event: a fixed-rate FIFO fixes a packet's times when
 it accepts it (Lindley's recursion). Its service starts at max(now, the
 previous packet's finish), and it arrives one serialization time and one
-propagation delay later. The receiver's ack is the one event a delivered
+propagation delay later. enqueue returns that arrival time; the sender
+hands the packet to its receiver, whose ack is the one event a delivered
 packet costs (see return_path_send).
 """
 
@@ -21,7 +18,8 @@ from . import engine
 
 
 class BottleneckLink:
-    """Fixed-rate link with a finite drop-tail FIFO in front of it.
+    """Fixed-rate link with a finite drop-tail FIFO in front of it. It
+    knows neither the simulator nor the flows: each call passes the time.
 
     The backlog before the insertion decision is sampled at every enqueue
     attempt, drops included, so that occupancy approaches 1 under
@@ -32,19 +30,14 @@ class BottleneckLink:
     of the last one (_busy_until). Every packet takes one serialization
     time, so the waiting ones start at _busy_until - k * _tx_ns for
     k = 1, 2, ..., and the backlog counts those starts not before now.
-
-    An accepted packet is handed over at once, as receive(packet,
-    arrival_ns) of the flow's route (see connect), and the receiver
-    schedules what the arrival causes (see return_path_send).
     """
 
-    __slots__ = ("sim", "buffer_pkts", "pkt_size", "backlog_sum",
-                 "backlog_peak", "total_enqueued", "total_dropped",
-                 "_busy_until", "_first", "_tx_ns", "_prop_ns", "_routes")
+    __slots__ = ("buffer_pkts", "pkt_size", "backlog_sum", "backlog_peak",
+                 "total_enqueued", "total_dropped", "_busy_until", "_first",
+                 "_tx_ns", "_prop_ns")
 
-    def __init__(self, sim, capacity_bps, prop_delay_s, buffer_pkts,
+    def __init__(self, capacity_bps, prop_delay_s, buffer_pkts,
                  pkt_size_bytes=1500):
-        self.sim = sim
         self.buffer_pkts = int(buffer_pkts)
         self.pkt_size = pkt_size_bytes
         self.backlog_sum = 0
@@ -55,27 +48,21 @@ class BottleneckLink:
         self._first = -1       # ns when this busy period's first one started
         self._tx_ns = engine.to_ns(pkt_size_bytes * 8.0 / float(capacity_bps))
         self._prop_ns = engine.to_ns(float(prop_delay_s))
-        self._routes = {}  # flow id -> receive; see connect
 
-    def connect(self, flow_id, receive):
-        """Hand flow_id's packets to receive(packet, arrival_ns) when the
-        link accepts them."""
-        self._routes[flow_id] = receive
-
-    def backlog(self):
-        """Packets waiting now, the transmitting one excluded. One whose
-        service starts at this very nanosecond still waits for every event
-        at now (see README, Event core, for when that is exact)."""
-        now_ns = self.sim.now_ns
+    def backlog(self, now_ns):
+        """Packets waiting at now_ns, the transmitting one excluded. One
+        whose service starts at this very nanosecond still waits for every
+        event then (see README, Event core, for when that is exact)."""
         busy_until = self._busy_until
         if busy_until < now_ns:
             return 0
         return (busy_until - now_ns) // self._tx_ns - (self._first == now_ns)
 
-    def enqueue(self, p):
-        """Offer a data packet to the buffer. Returns True if accepted,
-        False if it was tail-dropped (discarded silently)."""
-        now_ns = self.sim.now_ns
+    def enqueue(self, now_ns):
+        """Offer a data packet to the buffer at now_ns. Returns the time in
+        ns at which it arrives at the receiver, or None if it was
+        tail-dropped (discarded silently). An arrival is never at 0 ns: a
+        valid scenario serializes for at least 1 ns."""
         start = self._busy_until
         if start < now_ns:  # idle
             depth = 0
@@ -86,13 +73,12 @@ class BottleneckLink:
             self.backlog_peak = depth
         if depth >= self.buffer_pkts:
             self.total_dropped += 1
-            return False
+            return None
         self.total_enqueued += 1
         if start < now_ns:  # idle: straight to the transmitter
             start = self._first = now_ns
         finish = self._busy_until = start + self._tx_ns
-        self._routes[p[0]](p, finish + self._prop_ns)
-        return True
+        return finish + self._prop_ns
 
 
 def return_path_send(sim, arrive_ns, delay_ns, deliver, label=""):

@@ -27,8 +27,8 @@ class ProtocolFault(RuntimeError):
 
 class FlowEndpoint:
     """Both ends of one flow. `horizon_ns` is the end of the run, if the
-    caller sets it: the receiver ignores packets that would arrive after
-    it, as a run stopped there never sees them."""
+    caller sets it: the sender hands its receiver no packet that would
+    arrive after it, as a run stopped there never sees them."""
 
     __slots__ = (
         "sim", "link", "flow_id", "controller", "start_at", "_return_ns",
@@ -102,9 +102,11 @@ class FlowEndpoint:
         retransmit passes `resend`, the sequence number to send: that one
         packet goes out whatever the window, and nothing else does.
 
-        Each packet is offered to the link here, and the first one sent
+        Each packet is offered to the link here, and one that arrives by
+        the horizon goes to on_data_arrival at once. The first one sent
         with no retransmission timer pending arms it."""
         enqueue = self.link.enqueue
+        now_ns = self.sim.now_ns
         now = self.sim.now
         sent = 0
         window = math.floor(self.cwnd + self.fractional_credit)
@@ -120,8 +122,11 @@ class FlowEndpoint:
                 if seq == self.snd_next:  # new data
                     self.snd_next = seq + 1
             self.packets_sent += 1
-            if not enqueue((self.flow_id, seq, now)):
+            arrive_ns = enqueue(now_ns)
+            if arrive_ns is None:
                 self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
+            elif arrive_ns <= self.horizon_ns:
+                self.on_data_arrival(seq, now, arrive_ns)
             if self._rto_timer is None:
                 self._arm_rto()
             if resend is not None:
@@ -158,15 +163,12 @@ class FlowEndpoint:
 
     # -- receiver side ---------------------------------------------------
 
-    def on_data_arrival(self, p, at_ns):
-        """Receiver: accept a data packet (flow_id, seq, sent_at) that
-        arrives at at_ns and ack it then, echoing the sender timestamp and
-        the measured one-way delay. The link calls this when it accepts the
-        packet, so it runs ahead of at_ns; the ack still leaves at at_ns,
-        counted as the last thing scheduled then (see return_path_send)."""
-        if at_ns > self.horizon_ns:
-            return
-        _, seq, sent_at = p
+    def on_data_arrival(self, seq, sent_at, at_ns):
+        """Receiver: accept packet seq, sent at sent_at, that arrives at
+        at_ns and ack it then, echoing the sender timestamp and the measured
+        one-way delay. try_send calls this when the link accepts the packet,
+        so it runs ahead of at_ns; the ack still leaves at at_ns, counted as
+        the last thing scheduled then (see return_path_send)."""
         self.delivered_pkts += 1
         advanced = 0
         if seq == self.rx_next:

@@ -52,3 +52,15 @@ def by_label(points):
 
 def by_value(points):
     return {pt.axis_value: pt for pt in points}
+
+
+def built(monkeypatch, cls):
+    """Collect every instance of cls built from now on."""
+    made, init = [], cls.__init__
+
+    def collecting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(cls, "__init__", collecting)
+    return made

@@ -205,11 +205,10 @@ def test_12_packet_conservation_and_drain():
 
     log = []
     sim = Simulator(trace=log.append)
-    link = BottleneckLink(sim, CAPACITY, 0.025, 100)
+    link = BottleneckLink(CAPACITY, 0.025, 100)
     flows = [FlowEndpoint(sim, link, i, make_controller(p), start_at=0.0)
              for i, p in enumerate(("reno", "ledbat", "nice"))]
     for f in flows:
-        link.connect(f.flow_id, f.on_data_arrival)
         f.start()
 
     def landed(f):  # acks dispatched at the sender so far
@@ -237,9 +236,10 @@ def test_12_packet_conservation_and_drain():
     sim.run_until(15.0)
     drained = all(not f._acks and landed(f) == f.packets_sent - f.packets_dropped
                   for f in flows)
-    ok = conserved and drained and link.backlog() == 0
+    backlog = link.backlog(sim.now_ns)
+    ok = conserved and drained and backlog == 0
     verdict(12, ok, "conserved=%s drained=%s backlog=%d"
-            % (conserved, drained, link.backlog()))
+            % (conserved, drained, backlog))
 
 
 def test_13_metric_bounds_on_random_configs():

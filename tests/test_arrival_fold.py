@@ -1,11 +1,11 @@
 """The analytic link against a reference three-event data path.
 
 The link works out each packet's service start, finish and arrival when
-it accepts the packet, and hands it to the receiver at once. The receiver
-schedules its ack once, counted as the last thing scheduled at the
-packet's arrival (`Simulator.schedule_from_ns`), so a delivered packet
-costs one event. The reference below keeps the other two: a
-TransmissionComplete that starts serializing each waiting packet, and a
+it accepts the packet, and the sender hands the packet to its receiver at
+once. The receiver schedules its ack once, counted as the last thing
+scheduled at the packet's arrival (`Simulator.schedule_from_ns`), so a
+delivered packet costs one event. The reference below keeps the other two:
+a TransmissionComplete that starts serializing each waiting packet, and a
 real data-arrival event whose handler sends the ack with a plain schedule.
 Inside the bound (one serialization time shorter than every return delay
 and than the 100 ms sample period, and a propagation delay of at most
@@ -15,6 +15,7 @@ queue samples and their ties with acks included."""
 from collections import deque
 
 import pytest
+from conftest import built
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,46 +26,64 @@ from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 class ThreeEventLink(network.BottleneckLink):
     """A server with events: the packet in service finishes with a
     TransmissionComplete, which schedules its arrival event and starts
-    the head of the line."""
+    the head of the line. enqueue takes the drop-tail decision on the real
+    queue and returns the present time, not an arrival, so that try_send
+    hands each accepted packet to ThreeEventFlow.on_data_arrival, which
+    offers it here."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.queue = deque()
         self.in_service = None
 
-    def backlog(self):
+    def backlog(self, now_ns):
         return len(self.queue)
 
-    def enqueue(self, p):
+    def enqueue(self, now_ns):
         depth = len(self.queue)
         self.backlog_sum += depth
         if depth > self.backlog_peak:
             self.backlog_peak = depth
         if depth >= self.buffer_pkts:
             self.total_dropped += 1
-            return False
+            return None
         self.total_enqueued += 1
+        return now_ns
+
+    def offer(self, p):
+        """Serialize or queue p = (flow, seq, sent_at), just accepted."""
         if self.in_service is None:  # an idle link has an empty buffer
             self._serialize(p)
         else:
             self.queue.append(p)
-        return True
 
     def _serialize(self, p):
         self.in_service = p
-        sim = self.sim
+        sim = p[0].sim
         sim.schedule_at_ns(sim.now_ns + self._tx_ns,
-                           "TransmissionComplete", self._tx_done, "flow%s" % p[0])
+                           "TransmissionComplete", self._tx_done, p[0].label)
 
     def _tx_done(self):
-        p, sim = self.in_service, self.sim
-        deliver = self._routes[p[0]]
+        flow, seq, sent_at = self.in_service
+        sim = flow.sim
+        arrive = lambda: transport.FlowEndpoint.on_data_arrival(
+            flow, seq, sent_at, sim.now_ns)
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
-                           lambda: deliver(p, sim.now_ns), "flow%s" % p[0])
+                           arrive, flow.label)
         if self.queue:
             self._serialize(self.queue.popleft())
         else:
             self.in_service = None
+
+
+class ThreeEventFlow(transport.FlowEndpoint):
+    """A flow whose sender hands each accepted packet to the reference link
+    instead of its receiver; the link's data-arrival event delivers it."""
+
+    __slots__ = ()
+
+    def on_data_arrival(self, seq, sent_at, at_ns):
+        self.link.offer((self, seq, sent_at))
 
 
 def scheduled_return_path(sim, arrive_ns, delay_ns, deliver, label=""):
@@ -84,20 +103,21 @@ WRONG_RULES = {"at acceptance": scheduled_return_path,
                "first at the arrival": first_at_arrival_return_path}
 
 
-def outputs(cfg):
+def outputs(cfg, event_log=None):
     """The report row, and the cwnd and queue traces as (time, value) pairs."""
-    r = run_scenario(cfg, traces=True)
+    r = run_scenario(cfg, traces=True, event_log=event_log)
     pairs = lambda column: list(zip(r.sample_times, column))
     return (r.report.csv_row(),
             {fid: pairs(column) for fid, column in r.cwnd_traces.items()},
             pairs(r.queue_samples))
 
 
-def reference_outputs(cfg):
+def reference_outputs(cfg, event_log=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "BottleneckLink", ThreeEventLink)
+        mp.setattr(harness, "FlowEndpoint", ThreeEventFlow)
         mp.setattr(transport, "return_path_send", scheduled_return_path)
-        return outputs(cfg)
+        return outputs(cfg, event_log)
 
 
 def wrong_rule_outputs(cfg, rule):
@@ -197,6 +217,24 @@ def test_ack_and_sample_tick_tie_at_60_ms():
     # the directed case is sharp: an ack keyed at acceptance breaks the tie
     # the other way and the cwnd trace moves
     assert wrong_rule_outputs(cfg, "at acceptance") != reference
+
+
+def test_reference_serializes_and_delivers_each_packet_with_an_event(monkeypatch):
+    # The reference must not quietly become the folded path: each accepted
+    # packet that finished serializing by the horizon logged its
+    # TransmissionComplete, and each packet received its data arrival.
+    links = built(monkeypatch, ThreeEventLink)
+    flows = built(monkeypatch, ThreeEventFlow)
+    cfg = config(25, [("reno", 0, 0), ("ledbat", 30, 0), ("lp", 0, 150)],
+                 buffer_pkts=10, horizon_s=5.0)
+    log = []
+    reference_outputs(cfg, log.append)
+    [link] = links
+    finished = link.total_enqueued - len(link.queue) - (link.in_service is not None)
+    assert sum(" TransmissionComplete " in line for line in log) == finished
+    assert finished > 1000 and link.total_dropped > 0
+    received = sum(f.delivered_pkts for f in flows)
+    assert sum(" PacketArrival flow" in line for line in log) == received > 0
 
 
 # Beyond the bound the rule is kept, and ties break the other way. The

@@ -566,6 +566,30 @@ def test_cli_int_too_large_for_a_float_is_a_usage_error(tmp_path, capsys,
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", b"horizon_s=2\n# \xff\nflows.0.protocol=reno\n"),
+    ("sweep", b"axis=horizon_s\nvalues=1,2\xe9\nflows.0.protocol=reno\n"),
+], ids=["run", "sweep"])
+def test_cli_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys,
+                                                    command, text):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(text)
+    log = tmp_path / "events.log"
+    log.write_text("kept\n")
+    assert cli.main([command, str(cfg), "--event-log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lbesim: line 2: not UTF-8 text")
+    assert "internal error" not in err
+    assert log.read_text() == "kept\n"  # bad input wipes no log
+
+
+def test_cli_reads_config_files_as_utf8(tmp_path, capsys):
+    cfg = tmp_path / "utf8.cfg"
+    cfg.write_bytes("# d\u00e9bit\n".encode("utf-8") + RUN_CONFIG.encode())
+    assert cli.main(["run", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("scenario_id,")
+
+
 # One line of the README example changed so that a time would overflow on
 # its way to integer nanoseconds: (key, value, the field the error names).
 _OVERFLOWS = [

@@ -9,23 +9,13 @@ count is deterministic, so it needs no timing."""
 
 import sys
 
+from conftest import built
+
 from lbesim import engine, network, transport
 from lbesim.controllers import LedbatController, RenoController
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 
 DUEL = [FlowConfig("reno"), FlowConfig("ledbat", {"tau_ms": 25.0})]
-
-
-def built(monkeypatch, cls):
-    """Collect every instance of cls built from now on."""
-    made, init = [], cls.__init__
-
-    def collecting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(cls, "__init__", collecting)
-    return made
 
 
 def counted(monkeypatch, owner, name, calls):
@@ -71,9 +61,9 @@ def test_every_traced_name_is_called_on_every_packet_it_covers(monkeypatch):
     sent = sum(f.packets_sent for f in flows)
     arrived = sum(f.delivered_pkts for f in flows)
     assert calls["enqueue"] == sent > 0
-    assert calls["on_data_arrival"] == link.total_enqueued
-    # packets still on the wire at the horizon are handed over but not acked
-    assert calls["return_path_send"] == arrived < link.total_enqueued
+    # packets still on the wire at the horizon are not handed over
+    assert calls["on_data_arrival"] == arrived < link.total_enqueued
+    assert calls["return_path_send"] == arrived
     assert calls["on_ack_arrival"] == sum(" PacketArrival " in l for l in log)
     assert calls["start"] == len(flows) == 2
     # schedule_at_ns saw every event, and each handler is lbesim's own
@@ -86,10 +76,11 @@ def test_every_traced_name_is_called_on_every_packet_it_covers(monkeypatch):
 
 def test_calls_per_packet_sent_stay_within_budget(monkeypatch):
     # An ack that releases one packet runs _ack_arrive, on_ack_arrival,
-    # reschedule, on_ack, try_send, enqueue, on_data_arrival,
-    # return_path_send, schedule_from_ns and schedule_at_ns: 10 calls.
-    # The run makes 9.74 per packet; with _emit, backlog() and _arm_rto on
-    # the path it made 12.66.
+    # reschedule, on_ack and try_send; try_send calls enqueue, which
+    # returns the arrival time, and then on_data_arrival, which runs
+    # return_path_send, schedule_from_ns and schedule_at_ns: 10 calls. The
+    # run makes 9.68 per packet; with _emit, backlog() and _arm_rto on the
+    # path it made 12.66.
     flows = built(monkeypatch, transport.FlowEndpoint)
     cfg = ScenarioConfig(horizon_s=10.0, flows=DUEL).validate()
     n = [0]

@@ -4,7 +4,8 @@ service starts, the sampled queue trace and the delay-only return path.
 
 Timing oracles for the default dumbbell (10 Mbit/s, 1500 B packets,
 25 ms one-way propagation): serialization = 1500*8/10e6 = 1.2 ms, so the
-first packet arrives at 26.2 ms."""
+first packet arrives at 26.2 ms. The link keeps no clock, so its tests pass
+each time in ns; only the return path needs a Simulator."""
 
 from collections import deque
 
@@ -18,64 +19,43 @@ from lbesim.harness import (FlowConfig, ScenarioConfig, run_scenario,
 from lbesim.network import BottleneckLink, return_path_send
 
 
-def make_link(sim, capacity=10e6, delay=0.025, buffer_pkts=100):
-    return BottleneckLink(sim, capacity, delay, buffer_pkts)
-
-
-def pkt(seq, flow=0):
-    return (flow, seq, 0.0)  # (flow_id, seq, sent_at)
+def make_link(capacity=10e6, delay=0.025, buffer_pkts=100):
+    return BottleneckLink(capacity, delay, buffer_pkts)
 
 
 def test_serialization_time():
-    sim = Simulator()
-    assert make_link(sim).pkt_size == 1500
-    link = BottleneckLink(sim, 10e6, 0.025, 100, pkt_size_bytes=40)
+    assert make_link().pkt_size == 1500
+    link = BottleneckLink(10e6, 0.025, 100, pkt_size_bytes=40)
     assert link.pkt_size == 40
-    handed = []
-    link.connect(0, lambda p, at_ns: handed.append(at_ns))
-    link.enqueue(pkt(0))
-    link.enqueue(pkt(1))
     # 40 B take 32 us at 10 Mbit/s, then 25 ms of propagation
-    assert handed == [25_032_000, 25_064_000]
+    assert [link.enqueue(0), link.enqueue(0)] == [25_032_000, 25_064_000]
 
 
 def test_first_packet_arrives_after_serialization_plus_propagation():
-    sim = Simulator()
-    link = make_link(sim)
-    handed = []
-    link.connect(0, lambda p, at_ns: handed.append((sim.now, at_ns, p[1])))
-    assert link.enqueue(pkt(0)) is True
-    sim.run_until(1.0)
-    # handed over when accepted, with its arrival time
-    assert handed == [(0.0, 26_200_000, 0)]
+    link = make_link()
+    # the arrival time is known when the link accepts the packet
+    assert link.enqueue(0) == 26_200_000
+    assert link.enqueue(1_000_000_000) == 1_026_200_000  # idle again
 
 
 def test_back_to_back_packets_are_spaced_by_serialization():
-    sim = Simulator()
-    link = make_link(sim)
-    arrivals = []
-    link.connect(0, lambda p, at_ns: arrivals.append((at_ns / NS_PER_S, p[1])))
-    for i in range(3):
-        link.enqueue(pkt(i))
-    sim.run_until(1.0)
-    times = [t for t, _ in arrivals]
-    assert [s for _, s in arrivals] == [0, 1, 2]  # FIFO order preserved
+    link = make_link()
+    times = [link.enqueue(0) / NS_PER_S for _ in range(3)]
+    assert times == sorted(times)  # FIFO order preserved
     assert times[0] == pytest.approx(0.0262)
     assert times[1] - times[0] == pytest.approx(1.2e-3)
     assert times[2] - times[1] == pytest.approx(1.2e-3)
 
 
 def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
-    sim = Simulator()
-    link = make_link(sim, buffer_pkts=5)
-    link.connect(0, lambda p, at_ns: None)
-    accepted = [link.enqueue(pkt(i)) for i in range(7)]
+    link = make_link(buffer_pkts=5)
+    accepted = [link.enqueue(0) is not None for _ in range(7)]
     # packet 0 moves straight to the transmitter and frees its slot, the
     # next five fill the buffer, the seventh is tail-dropped
     assert accepted == [True] * 6 + [False]
     assert link.total_enqueued == 6
     assert link.total_dropped == 1
-    assert link.backlog() == 5
+    assert link.backlog(0) == 5
     # occupancy is sampled before each insertion decision, drops
     # included: 0, 0, 1, 2, 3, 4, 5
     assert link.backlog_sum == 15
@@ -85,62 +65,51 @@ def test_drop_tail_and_transmitting_packet_excluded_from_backlog():
 
 
 def test_dropped_packet_is_never_delivered():
-    sim = Simulator()
-    link = make_link(sim, buffer_pkts=2)
-    arrivals = []
-    link.connect(0, lambda p, at_ns: arrivals.append(p[1]))
-    for i in range(5):
-        link.enqueue(pkt(i))
-    sim.run_until(1.0)
-    assert arrivals == [0, 1, 2]  # seq 3 and 4 were tail-dropped
+    link = make_link(buffer_pkts=2)
+    arrivals = [link.enqueue(0) for _ in range(5)]
+    # seq 3 and 4 were tail-dropped: no arrival time, so nothing to hand
+    # to a receiver, and they leave no trace in the FIFO
+    assert arrivals == [26_200_000, 27_400_000, 28_600_000, None, None]
     assert link.total_dropped == 2
+    assert link._busy_until == 3_600_000
 
 
 def test_queue_drains_and_link_goes_idle():
-    sim = Simulator()
-    link = make_link(sim)
-    handed = []
-    link.connect(0, lambda p, at_ns: handed.append(at_ns))
-    for i in range(4):
-        link.enqueue(pkt(i))
-    assert link.backlog() == 3
-    sim.run_until(3_600_001 / NS_PER_S)  # the last one started at 3.6 ms
-    assert link.backlog() == 0
-    sim.run_until(4_800_000 / NS_PER_S)  # and finishes at 4.8 ms: still busy
-    link.enqueue(pkt(4))  # queues behind it: finishes at 6.0 ms
-    assert handed[-1] == 31_000_000
-    sim.run_until(1.0)
-    assert link.backlog() == 0
-    link.enqueue(pkt(5))  # idle: straight to the transmitter
-    assert handed[-1] == 1_026_200_000
+    link = make_link()
+    for _ in range(4):
+        link.enqueue(0)
+    assert link.backlog(0) == 3
+    assert link.backlog(3_600_001) == 0  # the last one started at 3.6 ms
+    # and finishes at 4.8 ms: still busy, so the next queues behind it and
+    # finishes at 6.0 ms
+    assert link.enqueue(4_800_000) == 31_000_000
+    assert link.backlog(1_000_000_000) == 0
+    # idle: straight to the transmitter
+    assert link.enqueue(1_000_000_000) == 1_026_200_000
 
 
 def test_a_packet_waits_through_the_nanosecond_its_service_starts():
-    sim = Simulator()
-    link = make_link(sim)
-    link.connect(0, lambda p, at_ns: None)
-    link.enqueue(pkt(0))  # straight to the transmitter
-    link.enqueue(pkt(1))  # starts when packet 0 finishes, at 1.2 ms
-    assert link.backlog() == 1
-    sim.run_until(1_200_000 / NS_PER_S)
-    assert sim.now_ns == 1_200_000 and link.backlog() == 1
-    sim.run_until(1_200_001 / NS_PER_S)
-    assert sim.now_ns == 1_200_001 and link.backlog() == 0
+    link = make_link()
+    link.enqueue(0)  # straight to the transmitter
+    link.enqueue(0)  # starts when packet 0 finishes, at 1.2 ms
+    assert link.backlog(0) == 1
+    assert link.backlog(1_200_000) == 1
+    assert link.backlog(1_200_001) == 0
 
 
 class DequeLink:
     """The FIFO as a deque of the waiting packets' service starts: the
     reference for the link's two integers. Times are in ns."""
 
-    def __init__(self, clock, tx_ns, prop_ns, buffer_pkts):
-        self.clock, self.tx_ns, self.prop_ns = clock, tx_ns, prop_ns
+    def __init__(self, tx_ns, prop_ns, buffer_pkts):
+        self.now_ns, self.tx_ns, self.prop_ns = 0, tx_ns, prop_ns
         self.buffer_pkts = buffer_pkts
         self.busy_until = -1
         self.starts = deque()
         self.backlog_sum = self.backlog_peak = 0
 
     def backlog(self):
-        while self.starts and self.starts[0] < self.clock.now_ns:
+        while self.starts and self.starts[0] < self.now_ns:
             self.starts.popleft()
         return len(self.starts)
 
@@ -152,16 +121,12 @@ class DequeLink:
         if depth >= self.buffer_pkts:
             return None
         start = self.busy_until
-        if start < self.clock.now_ns:
-            start = self.clock.now_ns
+        if start < self.now_ns:
+            start = self.now_ns
         else:
             self.starts.append(start)
         self.busy_until = start + self.tx_ns
         return self.busy_until + self.prop_ns
-
-
-class Clock:
-    now_ns = 0
 
 
 # A step is a burst of enqueues at the present nanosecond, or a clock
@@ -178,34 +143,26 @@ _link_steps = st.lists(st.one_of(
 @given(tx_ns=st.one_of(st.integers(1, 3), st.integers(1, 2000)),
        buffer_pkts=st.integers(1, 5), steps=_link_steps)
 def test_two_integer_fifo_matches_a_deque_of_starts(tx_ns, buffer_pkts, steps):
-    clock = Clock()
     # 125 B are 1,000 bits, so the capacity sets tx_ns exactly
-    link = BottleneckLink(clock, 1e12 / tx_ns, 1e-6, buffer_pkts,
-                          pkt_size_bytes=125)
+    link = BottleneckLink(1e12 / tx_ns, 1e-6, buffer_pkts, pkt_size_bytes=125)
     assert link._tx_ns == tx_ns
-    ref = DequeLink(clock, tx_ns, 1000, buffer_pkts)
-    handed = []
-    link.connect(0, lambda p, at_ns: handed.append(at_ns))
+    ref = DequeLink(tx_ns, 1000, buffer_pkts)
     for step in steps:
         if step[0] == "burst":
             for _ in range(step[1]):
-                want = ref.enqueue()
-                assert link.enqueue(pkt(0)) is (want is not None)
-                if want is not None:
-                    assert handed.pop() == want
+                assert link.enqueue(ref.now_ns) == ref.enqueue()
         else:
             if step[0] == "by":
-                to = clock.now_ns + step[1]
+                to = ref.now_ns + step[1]
             elif step[0] == "start":
-                ahead = [t for t in ref.starts if t >= clock.now_ns]
+                ahead = [t for t in ref.starts if t >= ref.now_ns]
                 to = ahead[step[1] % len(ahead)] + step[2] if ahead else 0
             else:
                 to = ref.busy_until + step[1]
-            clock.now_ns = max(clock.now_ns, to)
-        assert link.backlog() == ref.backlog()
+            ref.now_ns = max(ref.now_ns, to)
+        assert link.backlog(ref.now_ns) == ref.backlog()
         assert (link.backlog_sum, link.backlog_peak) == (ref.backlog_sum,
                                                          ref.backlog_peak)
-    assert handed == []
 
 
 def test_return_path_is_pure_delay():
@@ -229,10 +186,9 @@ def test_return_path_starts_at_the_data_arrival():
 
 def test_return_path_never_contends_with_forward_traffic():
     sim = Simulator()
-    link = make_link(sim, buffer_pkts=2)
-    link.connect(0, lambda p, at_ns: None)
-    for i in range(3):  # keep the forward link busy
-        link.enqueue(pkt(i))
+    link = make_link(buffer_pkts=2)
+    for _ in range(3):  # keep the forward link busy
+        link.enqueue(sim.now_ns)
     arrivals = []
     return_path_send(sim, 0, 10_000_000, lambda: arrivals.append(sim.now))
     sim.run_until(1.0)

@@ -22,12 +22,27 @@ class NullController:
         pass
 
 
+class TappedLink(BottleneckLink):
+    """The link, keeping every arrival time it returns."""
+
+    __slots__ = ("arrivals",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.arrivals = []
+
+    def enqueue(self, now_ns):
+        at_ns = super().enqueue(now_ns)
+        if at_ns is not None:
+            self.arrivals.append(at_ns)
+        return at_ns
+
+
 def make_flow(controller=None, capacity=10e6, delay=0.025, buffer_pkts=100):
     sim = Simulator()
-    link = BottleneckLink(sim, capacity, delay, buffer_pkts)
+    link = TappedLink(capacity, delay, buffer_pkts)
     f = FlowEndpoint(sim, link, flow_id=0,
                      controller=controller or RenoController())
-    link.connect(0, f.on_data_arrival)
     return sim, link, f
 
 
@@ -137,10 +152,10 @@ def test_ack_beyond_highest_sent_faults():
 
 def test_receiver_reorders_out_of_order_arrivals():
     sim, link, f = make_flow()
-    f.on_data_arrival((0, 1, 0.0), 0)
+    f.on_data_arrival(1, 0.0, 0)
     assert f.rx_next == 0 and not f.window_bytes
-    f.on_data_arrival((0, 2, 0.0), 0)
-    f.on_data_arrival((0, 0, 0.0), 0)
+    f.on_data_arrival(2, 0.0, 0)
+    f.on_data_arrival(0, 0.0, 0)
     # the hole fills and the cumulative ack jumps over the buffered packets
     assert f.rx_next == 3
     assert sum(f.window_bytes.values()) == 3 * 1500
@@ -156,6 +171,7 @@ def test_packet_arriving_after_the_horizon_is_not_received():
     f.start()
     stats = sim.run_until(0.5)
     assert f.packets_sent == 1 and f.in_network == 1
+    assert link.arrivals == [26_200_000]
     assert f.delivered_pkts == 0 and not f.window_bytes
     # no ack: the one pending event is the retransmission timer
     assert stats.pending == 1 and not f._acks
@@ -174,6 +190,21 @@ def test_packet_arriving_at_the_horizon_is_received():
     # packet arrives after the horizon
     assert "0.051200000 PacketArrival ack-flow0" in log
     assert f.packets_sent > 1 and f.in_network == f.packets_sent - 1
+
+
+def test_an_arrival_at_0_ns_is_delivered_not_dropped():
+    class InstantLink(BottleneckLink):  # every packet arrives as it is sent
+        __slots__ = ()
+
+        def enqueue(self, now_ns):
+            return None if super().enqueue(now_ns) is None else now_ns
+
+    sim = Simulator()
+    f = FlowEndpoint(sim, InstantLink(10e6, 0.025, 100), 0, RenoController())
+    f.start()
+    sim.run_until(0.0)
+    assert (f.packets_sent, f.packets_dropped, f.delivered_pkts) == (1, 0, 1)
+    assert f.rx_next == 1 and len(f._acks) == 1
 
 
 def test_rto_estimator_matches_rfc6298():
@@ -259,26 +290,19 @@ def test_flow_drains_when_window_closes():
     # every packet ever sent has been delivered; nothing is in flight
     assert f.in_network == 0
     assert f.packets_sent == f.delivered_pkts
-    assert link.backlog() == 0
+    assert link.backlog(sim.now_ns) == 0
     assert link._busy_until < sim.now_ns  # the link went idle
 
 
 def test_packets_arriving_after_the_horizon_stay_in_the_network():
     sim, link, f = make_flow(buffer_pkts=20)
     f.horizon_ns = 2_000_000_000
-    arrivals = []
-
-    def receive(p, at_ns):
-        arrivals.append(at_ns)
-        f.on_data_arrival(p, at_ns)
-
-    link.connect(0, receive)
     log = event_log(sim)
     f.start()
     sim.run_until(2.0)
-    late = sum(1 for t in arrivals if t > f.horizon_ns)
+    late = sum(1 for t in link.arrivals if t > f.horizon_ns)
     # a window in flight at the horizon, losses included
     assert late > 1 and f.packets_dropped > 0
     assert f.in_network == late
-    assert f.delivered_pkts == len(arrivals) - late
+    assert f.delivered_pkts == len(link.arrivals) - late
     assert conservation_ok(f, log)
