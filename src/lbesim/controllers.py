@@ -5,9 +5,10 @@ All controllers implement the same contract: the endpoint calls
 on_ack(flow, rtt, owd) for every new cumulative ack, with the RTT and
 one-way-delay samples of the acked data packet, and on_loss(flow, kind)
 on a "dupack" or "timeout" loss. Controllers mutate flow.cwnd (and
-flow.ssthresh where relevant); the endpoint owns retransmission, timers
-and window clocking. inflate_on_dupack asks it for Reno's fast-recovery
-window inflation; the delay-based schemes keep the plain halving.
+flow.ssthresh where relevant) and schedule no event; the endpoint owns
+retransmission, timers and window clocking. inflate_on_dupack asks it for
+Reno's fast-recovery window inflation; the delay-based schemes keep the
+plain halving.
 
 on_ack runs on every ack, so the LP, LEDBAT and NICE filters are written
 out inline there, with comparisons in place of min() and max(). The tests
@@ -93,7 +94,9 @@ class LpController:
 
     On an indication the window is halved and frozen for an inference
     period; a further indication during that period collapses cwnd to the
-    minimum window, after which the flow rebuilds additively.
+    minimum window, after which the flow rebuilds additively. The period
+    is a deadline, not an event: the window stays frozen while the clock
+    is before inference_end_ns (-1 outside it).
     """
 
     protocol = "lp"
@@ -106,9 +109,8 @@ class LpController:
         self.d_ewma = None
         self.d_min = INF
         self.d_max = -INF
-        self.phase = "normal"
         self.armed = True
-        self._inference_handle = None
+        self.inference_end_ns = -1
 
     def on_ack(self, flow, rtt, owd):
         d_ewma = self.d_ewma
@@ -126,7 +128,7 @@ class LpController:
         level = d_ewma > d_min + (d_max - d_min) * self.delta
         indication = level and self.armed
         self.armed = not level
-        if self.phase == "inference":
+        if flow.sim.now_ns < self.inference_end_ns:
             if indication:
                 self._collapse(flow)
             return  # window frozen while inferring
@@ -141,38 +143,25 @@ class LpController:
         """Halve the window and freeze it while watching for persistence."""
         flow.ssthresh = max(flow.cwnd / 2.0, 2.0)
         flow.cwnd = max(flow.ssthresh, 1.0)
-        self.phase = "inference"
         duration = self.inference_rtts * (flow.srtt if flow.srtt else rtt)
-        self._inference_handle = flow.sim.schedule_after(
-            duration, engine.INFERENCE_PHASE_END, self._inference_end,
-            label="flow%s" % flow.flow_id)
+        self.inference_end_ns = flow.sim.now_ns + engine.to_ns(duration)
 
     def _collapse(self, flow):
         """Persistent congestion: drop to the minimum window and rebuild
         additively rather than bursting straight back into the episode."""
         flow.ssthresh = 2.0
         flow.cwnd = 1.0
-        self._exit_inference(flow)
-
-    def _inference_end(self):
-        self._inference_handle = None
-        self.phase = "normal"
-
-    def _exit_inference(self, flow):
-        if self._inference_handle is not None:
-            flow.sim.cancel(self._inference_handle)
-            self._inference_handle = None
-        self.phase = "normal"
+        self.inference_end_ns = -1
 
     def on_loss(self, flow, kind):
         self.armed = True  # a loss opens a fresh congestion episode
         if kind == "dupack":
-            if self.phase == "inference":
+            if flow.sim.now_ns < self.inference_end_ns:
                 self._collapse(flow)
             else:
                 self._react(flow, flow.srtt if flow.srtt else 0.05)
         else:
-            self._exit_inference(flow)  # timeout mechanics live in the endpoint
+            self.inference_end_ns = -1  # timeout mechanics live in the endpoint
 
 
 class NiceController:

@@ -14,7 +14,6 @@ NS_PER_S = 1_000_000_000
 # Event kinds, used for the optional debug event log.
 PACKET_ARRIVAL = "PacketArrival"
 RTO_TIMER = "RtoTimer"
-INFERENCE_PHASE_END = "InferencePhaseEnd"
 METRICS_SAMPLE_TICK = "MetricsSampleTick"
 FLOW_START = "FlowStart"
 CREDIT_TICK = "CreditTick"

@@ -242,12 +242,12 @@ def load_scenario(text):
 
 def _parse_scenario(text):
     """The config a scenario document sets, not yet validated, and the line
-    that set each field."""
+    that set each field. Lines end only at newlines, as cli._read counts."""
     ms_names = {"fwd_prop_delay_ms": "fwd_prop_delay_s",
                 "extra_return_delay_ms": "extra_return_delay_s"}
     cfg = ScenarioConfig(flows=defaultdict(lambda: FlowConfig(protocol="reno")))
     lines = {}  # config field -> line that set it
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -451,7 +451,7 @@ def load_sweep(text):
     repeat = 1
     values_line = None
     config_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
         key, _, val = raw.strip().partition("=")
         key = key.strip()
         if key not in ("axis", "values", "repeat"):

@@ -108,7 +108,6 @@ class FlowEndpoint:
         enqueue = self.link.enqueue
         now_ns = self.sim.now_ns
         now = self.sim.now
-        sent = 0
         window = math.floor(self.cwnd + self.fractional_credit)
         seq = resend
         while True:
@@ -132,20 +131,17 @@ class FlowEndpoint:
             if resend is not None:
                 break
             seq = None
-            sent += 1
             if self.cwnd < 1.0:
                 # a sub-packet window spends one unit of accumulated credit
                 self.fractional_credit = max(self.fractional_credit - 1.0, 0.0)
                 window = math.floor(self.cwnd + self.fractional_credit)
-        if sent and self._credit_timer is not None:
-            self.sim.cancel(self._credit_timer)
-            self._credit_timer = None
-        return sent
 
     def _maybe_schedule_credit_tick(self):
         """With cwnd < 1 and nothing in flight there are no acks to clock the
         sender, so credit accrues on a timer: +cwnd per (s)RTT until one full
-        packet of allowance is available."""
+        packet of allowance is available. The timer is pending only while
+        nothing is in flight, so no ack, RTO or fast retransmit sends then:
+        only the tick does, after it clears the timer."""
         if (self.cwnd < 1.0 and self.in_flight == 0
                 and self.cwnd + self.fractional_credit < 1.0
                 and self._credit_timer is None):
@@ -253,11 +249,9 @@ class FlowEndpoint:
     # -- timers ----------------------------------------------------------
 
     def _arm_rto(self):
-        """Set the retransmission deadline to now + rto * backoff. A pending
-        timer is moved, not replaced (see Simulator.reschedule)."""
+        """Set the retransmission deadline to now + rto * backoff."""
         sim = self.sim
-        self._rto_timer = sim.reschedule(
-            self._rto_timer,
+        self._rto_timer = sim.schedule_at_ns(
             sim.now_ns + round(self.rto * self.rto_backoff * engine.NS_PER_S),
             engine.RTO_TIMER, self._rto_handler, self.label)
 

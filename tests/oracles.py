@@ -1,7 +1,7 @@
 """Closed-form references for the controllers' delay filters, which
-on_ack writes out inline, and a bare flow to drive on_ack with. The
-controller tests and ACCEPTANCE 14 compare each controller's state after
-on_ack with these."""
+on_ack writes out inline, TCP-LP's inference test, and a bare flow to
+drive on_ack with. The controller tests and ACCEPTANCE 14 compare each
+controller's state after on_ack with these."""
 
 from lbesim.engine import Simulator
 
@@ -19,6 +19,12 @@ def lp_update_delay(d_ewma, d_min, d_max, d, alpha):
 def lp_early_congestion(d_ewma, d_min, d_max, delta):
     """TCP-LP: the delay-threshold early congestion test (strict)."""
     return d_ewma > d_min + (d_max - d_min) * delta
+
+
+def lp_inferring(ctl, flow):
+    """TCP-LP: whether ctl's window is frozen in an inference phase at the
+    flow's present time, which is before the phase's deadline."""
+    return flow.sim.now_ns < ctl.inference_end_ns
 
 
 def ledbat_offset(tau, d, d_min):

@@ -18,7 +18,7 @@ from lbesim.controllers import LedbatController, LpController, NiceController
 from lbesim.engine import Simulator
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 from oracles import (StubFlow, ledbat_offset, lp_early_congestion,
-                     lp_update_delay, nice_mark_threshold)
+                     lp_inferring, lp_update_delay, nice_mark_threshold)
 
 CAPACITY = 10e6
 
@@ -284,11 +284,12 @@ def test_14_controller_update_oracles():
         delta = rng.uniform(0.0, 1.0)
         lp = LpController(alpha=alpha, delta=delta)
         lp.d_ewma, lp.d_min, lp.d_max = prev, dmin, dmax
-        lp.on_ack(StubFlow(), d + 0.025, d)
+        flow = StubFlow()
+        lp.on_ack(flow, d + 0.025, d)
         ewma, mn, mx = lp_update_delay(prev, dmin, dmax, d, alpha)
         bad += (lp.d_ewma, lp.d_min, lp.d_max) != (ewma, mn, mx)
         # early-congestion threshold: an armed detector halves and infers
-        bad += (lp.phase == "inference") != lp_early_congestion(
+        bad += lp_inferring(lp, flow) != lp_early_congestion(
             ewma, mn, mx, delta)
         # nice marking threshold, over the delays seen so far
         nice = NiceController(delta=delta)

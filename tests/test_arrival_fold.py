@@ -181,10 +181,9 @@ def serialization_us(bound_us):
 
 
 # Propagation delays beyond the 100 ms sample period and MIN_RTO, up to
-# INITIAL_RTO: a tick or an LP inference end can now be scheduled after a
-# packet finished and fire at its arrival, but neither schedules anything
-# on the ack's nanosecond; an RTO timer is still never scheduled that late
-# (README, Event core).
+# INITIAL_RTO: a tick can now be scheduled after a packet finished and
+# fire at its arrival, but it schedules nothing on the ack's nanosecond;
+# an RTO timer is still never scheduled that late (README, Event core).
 @st.composite
 def long_propagation_scenarios(draw):
     prop_ms = draw(st.integers(min_value=150, max_value=1000))

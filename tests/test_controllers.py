@@ -14,7 +14,7 @@ from lbesim.controllers import (LedbatController, LpController,
                                 buffer_delay_s, make_controller)
 from lbesim.engine import Simulator
 from oracles import (StubFlow, ledbat_offset, lp_early_congestion,
-                     lp_update_delay, nice_mark_threshold)
+                     lp_inferring, lp_update_delay, nice_mark_threshold)
 
 INF = float("inf")
 
@@ -46,12 +46,13 @@ def test_lp_early_congestion_oracle_100_random_inputs():
         # alpha = 1 makes the smoothed delay the sample itself
         ctl = LpController(alpha=1.0, delta=delta)
         ctl.d_min, ctl.d_max = dmin, dmax
-        ctl.on_ack(StubFlow(), ewma + 0.025, ewma)
+        flow = StubFlow()
+        ctl.on_ack(flow, ewma + 0.025, ewma)
         level = lp_early_congestion(ewma, min(dmin, ewma), max(dmax, ewma),
                                     delta)
         # an armed detector reacts to the level: halve, then infer
         assert ctl.armed is (not level)
-        assert (ctl.phase == "inference") is level
+        assert lp_inferring(ctl, flow) is level
 
 
 def test_ledbat_offset_oracle_100_random_inputs():
@@ -214,11 +215,11 @@ def test_lp_indication_halves_and_freezes_then_collapses():
     flow = StubFlow(cwnd=16.0, ssthresh=2.0)
     # establish a quiet baseline, then raise the one-way delay
     ctl.on_ack(flow, 0.055, 0.030)
-    assert ctl.phase == "normal"
+    assert not lp_inferring(ctl, flow)
     before = None
 
     def entered_inference():
-        return ctl.phase == "inference"
+        return lp_inferring(ctl, flow)
 
     # the smoothed delay crosses the threshold exactly once: halve + freeze
     for _ in range(100):
@@ -226,21 +227,21 @@ def test_lp_indication_halves_and_freezes_then_collapses():
         ctl.on_ack(flow, 0.075, 0.050)
         if entered_inference():
             break
-    assert ctl.phase == "inference"
+    assert lp_inferring(ctl, flow)
     assert flow.cwnd == pytest.approx(max(before / 2.0, 2.0))
     assert not ctl.armed
     frozen = flow.cwnd
     # sustained high delay is the same episode: the window stays frozen
     for _ in range(5):
         ctl.on_ack(flow, 0.075, 0.050)
-    assert flow.cwnd == frozen and ctl.phase == "inference"
+    assert flow.cwnd == frozen and lp_inferring(ctl, flow)
     # delay de-asserts (re-arms the detector), then re-asserts while still
     # inferring: persistent congestion collapses to the minimum window
     assert drive_lp_until(ctl, flow, 0.001, lambda: ctl.armed)
-    assert ctl.phase == "inference"
+    assert lp_inferring(ctl, flow)
     assert drive_lp_until(ctl, flow, 0.300, lambda: flow.cwnd == 1.0, limit=5)
     assert flow.cwnd == 1.0 and flow.ssthresh == 2.0
-    assert ctl.phase == "normal"
+    assert not lp_inferring(ctl, flow)
 
 
 def test_lp_inference_phase_times_out():
@@ -248,9 +249,9 @@ def test_lp_inference_phase_times_out():
     ctl = LpController()
     flow = StubFlow(cwnd=10.0, ssthresh=2.0, sim=sim)
     ctl._react(flow, 0.05)
-    assert ctl.phase == "inference"
-    sim.run_until(3.0 * flow.srtt + 0.01)
-    assert ctl.phase == "normal"
+    assert lp_inferring(ctl, flow)
+    sim.run_until(3.0 * flow.srtt + 0.01)  # no event: the clock passes the deadline
+    assert not lp_inferring(ctl, flow)
 
 
 def test_lp_loss_rearms_detector_and_reacts():
@@ -260,11 +261,11 @@ def test_lp_loss_rearms_detector_and_reacts():
     ctl.on_loss(flow, "dupack")
     assert ctl.armed
     assert flow.cwnd == 6.0
-    assert ctl.phase == "inference"
+    assert lp_inferring(ctl, flow)
     # a second loss while inferring means persistent congestion
     ctl.on_loss(flow, "dupack")
     assert flow.cwnd == 1.0 and flow.ssthresh == 2.0
-    assert ctl.phase == "normal"
+    assert not lp_inferring(ctl, flow)
 
 
 def test_lp_timeout_exits_inference():
@@ -272,7 +273,7 @@ def test_lp_timeout_exits_inference():
     flow = StubFlow(cwnd=10.0, ssthresh=2.0)
     ctl._react(flow, 0.05)
     ctl.on_loss(flow, "timeout")
-    assert ctl.phase == "normal"
+    assert not lp_inferring(ctl, flow)
 
 
 def test_lp_grows_like_reno_when_uncongested():
@@ -416,7 +417,7 @@ class HelperLp(LpController):
                                     self.delta)
         indication = level and self.armed
         self.armed = not level
-        if self.phase == "inference":
+        if lp_inferring(self, flow):
             if indication:
                 self._collapse(flow)
             return
@@ -467,13 +468,11 @@ class HelperNice(NiceController):
 
 
 def controller_state(ctl, flow):
-    """Everything on_ack may change, as a tuple; a pending timer counts by
-    its key, the NICE window by its buckets and extrema."""
+    """Everything on_ack may change, as a tuple; the NICE window counts by
+    its buckets and extrema."""
     state = dict(vars(ctl))
-    handle = state.pop("_inference_handle", None)
     window = state.pop("_window", None)
     return (sorted(state.items()),
-            None if handle is None else (handle[0], handle[1]),
             None if window is None else
             ([tuple(b) for b in window._buckets], window.min, window.max),
             flow.cwnd, flow.ssthresh)

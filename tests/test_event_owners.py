@@ -1,7 +1,8 @@
 """Every event pending at the horizon has an owner: an ack on a flow's
-return path, the flow's retransmission or credit timer, or its LP
-controller's inference end. An event the engine loses, doubles or keeps
-after a cancel breaks the count."""
+return path, or the flow's retransmission or credit timer. Controllers own
+no event: TCP-LP's inference phase is a deadline, so no run logs an
+InferencePhaseEnd. An event the engine loses, doubles or keeps after a
+cancel breaks the count."""
 
 import pytest
 from conftest import built
@@ -24,8 +25,7 @@ RUNS = {
 
 def timers(f):
     """The handles flow f holds for its timers, None for one not set."""
-    return (f._rto_timer, f._credit_timer,
-            getattr(f.controller, "_inference_handle", None))
+    return f._rto_timer, f._credit_timer
 
 
 @pytest.mark.parametrize("traces", [False, True], ids=["plain", "traces"])
@@ -33,7 +33,9 @@ def timers(f):
 def test_every_pending_event_at_the_horizon_has_an_owner(monkeypatch, name,
                                                          traces):
     flows = built(monkeypatch, transport.FlowEndpoint)
-    stats = run_scenario(RUNS[name], traces=traces).run_stats
+    log = []
+    stats = run_scenario(RUNS[name], traces=traces, event_log=log.append).run_stats
+    assert not any(" InferencePhaseEnd " in line for line in log)
     held = [h for f in flows for h in timers(f) if h is not None]
     assert all(Simulator.pending(h) for h in held)
     # the last sample tick schedules nothing, so traces add no event

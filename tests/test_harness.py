@@ -583,6 +583,25 @@ def test_cli_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys,
     assert log.read_text() == "kept\n"  # bad input wipes no log
 
 
+# str.splitlines() breaks lines at each of these too; cli._read counts
+# lines by "\n" alone, and so must the config parsers.
+_NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_config_lines_break_only_at_newlines(tmp_path, capsys, command):
+    head = "axis=horizon_s\nvalues=2\n" if command == "sweep" else ""
+    for char in _NOT_NEWLINES:
+        # a CRLF line end still counts as one
+        text = head + "# a%sb\r\nhorizon_s=2\nflows.0.protocol=reno\nbogus=1\n" % char
+        cfg = tmp_path / "breaks.cfg"
+        cfg.write_bytes(text.encode("utf-8"))
+        assert cli.main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lbesim: line %d: unknown key 'bogus'"
+                              % text.count("\n")), (char, err)
+
+
 def test_cli_reads_config_files_as_utf8(tmp_path, capsys):
     cfg = tmp_path / "utf8.cfg"
     cfg.write_bytes("# d\u00e9bit\n".encode("utf-8") + RUN_CONFIG.encode())
