@@ -3,11 +3,11 @@
 bottleneck, with a metrics harness and a scenario catalog."""
 
 from .controllers import (LedbatController, LpController, NiceController,
-                          RenoController, make_controller)
+                          RenoController)
 from .engine import Simulator
 from .harness import (FlowConfig, ScenarioConfig, SweepSpec,
-                      expand_experiment, load_scenario, run_scenario,
-                      run_sweep)
+                      expand_experiment, load_scenario, make_controller,
+                      run_scenario, run_sweep)
 from .metrics import (MetricsReport, efficiency, jain_index, loss_rate,
                       queue_occupancy, short_term_fairness, tcp_breakdown)
 

@@ -14,11 +14,11 @@ on_ack runs on every ack, so the LP, LEDBAT and NICE filters are written
 out inline there, with comparisons in place of min() and max(). The tests
 hold each filter's closed form (tests/oracles.py) and check that on_ack
 leaves the state it gives, to the last bit.
-A LEDBAT target given as T_pct is resolved against the buffer delay that
-ScenarioConfig.build_controller passes to make_controller.
+harness checks each controller's parameters (its PARAMS table) and builds
+the controllers (harness.make_controller); there a LEDBAT target given as
+T_pct is resolved against the time the full buffer takes to drain.
 """
 
-import sys
 from collections import deque
 
 from . import engine
@@ -294,108 +294,3 @@ class LedbatController:
         # base delay d_min is retained across losses
         self.in_slow_start = False
 
-
-def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
-    """Time a full buffer takes to drain; a LEDBAT T_pct is a share of it.
-    Infinite, not an OverflowError, for a buffer too large for a float."""
-    return float(buffer_pkts) * pkt_size_bytes * 8.0 / capacity_bps
-
-
-class ParamError(ValueError):
-    """A controller parameter of the wrong type or out of range; `param`
-    names it."""
-
-    def __init__(self, param, problem):
-        super().__init__("%s %s" % (param, problem))
-        self.param = param
-
-
-def shown(value, fmt=repr):
-    """fmt(value), or the digit count of an int too long to print."""
-    try:
-        return fmt(value)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        if isinstance(value, int):
-            from decimal import Decimal  # only this error path needs it
-            return "<int of %d digits>" % (Decimal(value).adjusted() + 1)
-        return "<%s holding an int too long to print>" % type(value).__name__
-
-
-def _param(params, name, default, low, high=INF, low_open=True):
-    """Pop a numeric parameter and check that it is finite and in its range,
-    open at `low` unless low_open is False and closed at a finite `high`.
-    An absent parameter without a default gives None."""
-    value = params.pop(name, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParamError(name, "must be a number, got %s" % shown(value))
-    above_low = low < value if low_open else low <= value
-    # a float holds it finitely: not NaN, infinite or an int too large
-    if not (abs(value) <= sys.float_info.max and above_low and value <= high):
-        raise ParamError(name, "must be in %s%g, %g%s, got %s"
-                         % ("(" if low_open else "[", low, high,
-                            "]" if high < INF else ")", shown(value)))
-    return value
-
-
-def make_controller(protocol, params=None, buffer_delay_s=None):
-    """Build a controller from a protocol tag and a parameter mapping; a
-    LEDBAT T_pct is a percentage of buffer_delay_s, the time the full
-    buffer takes to drain. Bad parameters raise ParamError."""
-    params = dict(params or {})
-    if protocol == "reno":
-        if params:
-            raise ValueError("reno takes no parameters: %s" % shown(params))
-        return RenoController()
-    if protocol == "lp":
-        return LpController(
-            alpha=_param(params, "alpha", 0.125, 0.0, 1.0),
-            delta=_param(params, "delta", 0.15, 0.0, 1.0, low_open=False),
-            inference_rtts=_param(params, "inference_rtts", 3.0, 0.0),
-            **_reject_left(params, "lp"))
-    if protocol == "nice":
-        return NiceController(
-            delta=_param(params, "delta", 0.2, 0.0, 1.0, low_open=False),
-            phi=_param(params, "phi", 0.5, 0.0, 1.0, low_open=False),
-            floor=_param(params, "floor", 1.0 / 48.0, 0.0, 1.0),
-            history_s=_param(params, "history_s", 10.0, 0.0),
-            increase_rate=_param(params, "increase_rate", 20.0, 0.0, low_open=False),
-            **_reject_left(params, "nice"))
-    if protocol == "ledbat":
-        return _make_ledbat(params, buffer_delay_s)
-    raise ValueError("unknown protocol %s" % shown(protocol))
-
-
-def _reject_left(params, proto):
-    if params:
-        raise ValueError("unknown %s parameters: %s" % (proto, sorted(params)))
-    return {}
-
-
-def _make_ledbat(params, buffer_delay_s):
-    tau_ms = _param(params, "tau_ms", None, 0.0)
-    t_pct = _param(params, "T_pct", None, 0.0)
-    gamma = _param(params, "gamma", None, 0.0)
-    g = _param(params, "G", None, 0.0)
-    slow_start = params.pop("slow_start", False)
-    if not isinstance(slow_start, bool):
-        raise ParamError("slow_start", "must be true or false, got %s" % shown(slow_start))
-    _reject_left(params, "ledbat")
-    if tau_ms is not None and t_pct is not None:
-        raise ValueError("give ledbat.tau_ms or ledbat.T_pct, not both")
-    if gamma is not None and g is not None:
-        raise ValueError("give ledbat.gamma or ledbat.G, not both")
-    if t_pct is not None:
-        if buffer_delay_s is None:
-            raise ValueError("T_pct needs bottleneck parameters")
-        tau = t_pct / 100.0 * buffer_delay_s
-    else:
-        tau = (tau_ms if tau_ms is not None else 25.0) / 1000.0
-    if not 0 < tau < INF:  # a tau_ms can underflow, a huge buffer overflow
-        raise ValueError("ledbat target must be positive and finite")
-    if gamma is None:
-        gamma = (g if g is not None else 1.0) / tau
-    if not gamma < INF:
-        raise ValueError("ledbat gain must be finite")
-    return LedbatController(tau=tau, gamma=gamma, slow_start=slow_start)

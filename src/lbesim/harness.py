@@ -14,15 +14,32 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from . import engine, metrics
-from .controllers import ParamError, buffer_delay_s, make_controller, shown
+from .controllers import (LedbatController, LpController, NiceController,
+                          RenoController)
 from .engine import Simulator
 from .network import BottleneckLink
 from .transport import FlowEndpoint
 
 SAMPLE_TICK_S = 0.1
 SAMPLE_TICK_NS = engine.to_ns(SAMPLE_TICK_S)
+INF = float("inf")
 
-PROTOCOLS = ("reno", "lp", "nice", "ledbat")
+# Each protocol's controller parameters: name -> (kind, default). LEDBAT's
+# target is tau_ms or T_pct, a percentage of the time the full buffer takes
+# to drain, and its gain gamma or G = gamma * tau; make_controller resolves
+# each pair, and a default holds only where neither of its pair is given.
+PARAMS = {
+    "reno": {},
+    "lp": {"alpha": ("(0, 1]", 0.125), "delta": ("[0, 1]", 0.15),
+           "inference_rtts": ("positive", 3.0)},
+    "nice": {"delta": ("[0, 1]", 0.2), "phi": ("[0, 1]", 0.5),
+             "floor": ("(0, 1]", 1.0 / 48.0), "history_s": ("positive", 10.0),
+             "increase_rate": ("non-negative", 20.0)},
+    "ledbat": {"tau_ms": ("positive", 25.0), "T_pct": ("positive", None),
+               "gamma": ("positive", None), "G": ("positive", 1.0),
+               "slow_start": ("bool", False)},
+}
+PROTOCOLS = tuple(PARAMS)
 
 EXPERIMENT_IDS = ("fig1", "fig2_gain", "fig2_target", "fig3_gain_ratio",
                   "fig3_target_ratio", "fig4", "fig5", "fig6")
@@ -35,6 +52,17 @@ class ConfigError(ValueError):
     def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
+
+
+def shown(value, fmt=repr):
+    """fmt(value), or the digit count of an int too long to print."""
+    try:
+        return fmt(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            from decimal import Decimal  # only this error path needs it
+            return "<int of %d digits>" % (Decimal(value).adjusted() + 1)
+        return "<%s holding an int too long to print>" % type(value).__name__
 
 
 def _finite(value):
@@ -54,6 +82,10 @@ MAX_TIME_S = 2 ** 63 / engine.NS_PER_S
 # bounds in seconds come first, so that no huge value overflows in to_ns
 _KINDS = {
     "positive": ("finite and positive", lambda v: _finite(v) and v > 0),
+    "non-negative": ("finite and non-negative", lambda v: _finite(v) and v >= 0),
+    "(0, 1]": ("in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
+    "[0, 1]": ("in [0, 1]", lambda v: _finite(v) and 0 <= v <= 1),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "count": ("a positive whole number", lambda v: _finite(v) and v > 0 and v == int(v)),
     "time": ("at least 1 ns and at most 2**63 ns once rounded to whole ns",
              lambda v: _finite(v) and 0 < v <= MAX_TIME_S and engine.to_ns(v) >= 1),
@@ -63,8 +95,8 @@ _KINDS = {
 }
 
 # Every scenario field by dotted path, with its kind. N stands for a flow
-# index and <name> for a controller parameter, which make_controller
-# checks. validate, load_scenario and set_param all read this table.
+# index and <name> for a controller parameter, whose kind PARAMS gives by
+# protocol. validate, load_scenario and set_param all read this table.
 FIELDS = {
     "capacity_bps": "positive",
     "fwd_prop_delay_s": "time",
@@ -114,6 +146,7 @@ class ScenarioConfig:
                               % shown(self.flows), key="flows")
         if not self.flows:
             raise ConfigError("scenario needs at least one flow")
+        drain_s = buffer_delay_s(self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts)
         controllers = []
         for i, fc in enumerate(self.flows):
             for path, kind in FIELDS.items():
@@ -124,13 +157,8 @@ class ScenarioConfig:
                 raise ConfigError("flows.%d.start_at: %g is not before the "
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
                                   key="flows.%d.start_at" % i)
-            try:
-                controllers.append(self.build_controller(fc))
-            except ValueError as exc:
-                key = "flows.%d.params" % i
-                if isinstance(exc, ParamError):
-                    key += "." + exc.param
-                raise ConfigError("flows.%d.params: %s" % (i, exc), key=key) from exc
+            controllers.append(make_controller(fc.protocol, fc.params, drain_s,
+                                               "flows.%d.params" % i))
             if fc.protocol == "lp":  # no RTT outlasts the run
                 _check("flows.%d.params.inference_rtts" % i
                        if "inference_rtts" in fc.params else "horizon_s", "time",
@@ -138,11 +166,6 @@ class ScenarioConfig:
                        "the longest inference phase of flow %d "
                        "(inference_rtts * horizon_s)" % i)
         return controllers
-
-    def build_controller(self, fc):
-        """Flow fc's controller; a T_pct is a share of this buffer's delay."""
-        return make_controller(fc.protocol, fc.params, buffer_delay_s(
-            self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts))
 
 
 def _check(path, kind, value, of=None):
@@ -154,6 +177,52 @@ def _check(path, kind, value, of=None):
         raise ConfigError("%s must be %s, got %s" % (what, need, shown(value)), key=path)
 
 
+def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
+    """Time a full buffer takes to drain; a LEDBAT T_pct is a share of it.
+    Infinite, not an OverflowError, for a buffer too large for a float."""
+    return float(buffer_pkts) * pkt_size_bytes * 8.0 / capacity_bps
+
+
+def make_controller(protocol, params=None, buffer_delay_s=None, at="params"):
+    """Build a controller from a protocol tag and a parameter mapping,
+    checking each parameter as field `at`.<name> of the kind PARAMS gives
+    it; a LEDBAT T_pct is a percentage of buffer_delay_s, the time the full
+    buffer takes to drain. Bad input raises ConfigError."""
+    _check("protocol", "protocol", protocol)
+    kinds = PARAMS[protocol]
+    given = dict(params or {})
+    for name, value in given.items():
+        path = "%s.%s" % (at, name)
+        if name not in kinds:
+            raise ConfigError("%s: %s takes no such parameter" % (path, protocol),
+                              key=path)
+        _check(path, kinds[name][0], value)
+    p = {name: given.get(name, default) for name, (_, default) in kinds.items()}
+    if protocol == "reno":
+        return RenoController()
+    if protocol == "lp":
+        return LpController(**p)
+    if protocol == "nice":
+        return NiceController(**p)
+    for one, other in (("tau_ms", "T_pct"), ("gamma", "G")):
+        if one in given and other in given:
+            raise ConfigError("%s: give %s or %s, not both" % (at, one, other),
+                              key=at)
+    if "T_pct" in given:
+        if buffer_delay_s is None:
+            raise ConfigError("%s.T_pct needs bottleneck parameters" % at,
+                              key=at + ".T_pct")
+        tau = p["T_pct"] / 100.0 * buffer_delay_s
+    else:
+        tau = p["tau_ms"] / 1000.0
+    if not 0 < tau < INF:  # a tau_ms can underflow, a huge buffer overflow
+        raise ConfigError("%s: ledbat target must be positive and finite" % at, key=at)
+    gamma = p["gamma"] if "gamma" in given else p["G"] / tau
+    if not gamma < INF:
+        raise ConfigError("%s: ledbat gain must be finite" % at, key=at)
+    return LedbatController(tau=tau, gamma=gamma, slow_start=p["slow_start"])
+
+
 def _field(path):
     """Resolve a dotted field path to (kind, flow index or None, field or
     parameter name); ConfigError if the path names no field."""
@@ -161,9 +230,9 @@ def _field(path):
     if len(parts) == 1 and path in FIELDS:
         return FIELDS[path], None, path
     if len(parts) > 2 and parts[0] == "flows":
-        try:
-            idx = int(parts[1])
-        except ValueError:
+        try:  # int() alone would take a sign, spaces, _ and any Unicode digit
+            idx = int(parts[1]) if parts[1].isascii() and parts[1].isdigit() else -1
+        except ValueError:  # more digits than int() converts
             idx = -1
         rest = ("params.<name>" if parts[2] == "params" and len(parts) == 4
                 else ".".join(parts[2:]))
@@ -270,8 +339,11 @@ def _parse_scenario(text):
         except (OverflowError, ValueError) as exc:  # an int too large for a float
             raise ConfigError("line %d: bad value for %r: %s" % (lineno, key, exc))
     indices = sorted(cfg.flows)
-    if indices != list(range(len(indices))):
-        raise ConfigError("flow indices must be contiguous from 0")
+    for missing, idx in enumerate(indices):
+        if idx != missing:
+            raise ConfigError("line %d: flow indices must be contiguous from 0, "
+                              "and flow %d is missing"
+                              % (_line_of("flows.%d" % idx, lines), missing))
     cfg.flows = [cfg.flows[i] for i in indices]
     return cfg, lines
 
@@ -396,6 +468,7 @@ class SweepPoint:
 
 def run_sweep(spec, scenario_prefix="sweep", event_log=None):
     """Validate every point of a sweep, then run each, in order, on its own."""
+    _check("repeat", "count", spec.repeat)
     if spec.labels is not None and len(spec.labels) != len(spec.values):
         raise ConfigError("labels/values length mismatch")
     labels = spec.labels or [_axis_label(spec.axis, v) for v in spec.values]
@@ -407,7 +480,7 @@ def run_sweep(spec, scenario_prefix="sweep", event_log=None):
             raise ConfigError("sweep point %s: %s" % (label, exc), key=exc.key) from exc
     points = []
     for cfg, value, label in zip(configs, spec.values, labels):
-        for rep in range(spec.repeat) if spec.repeat > 1 else [None]:
+        for rep in range(int(spec.repeat)) if spec.repeat > 1 else [None]:
             sid = "%s:%s" % (scenario_prefix, label)
             if rep is not None:
                 sid += ":rep%d" % rep
@@ -466,10 +539,9 @@ def load_sweep(text):
         else:
             try:
                 repeat = _from_text("count", _parse_value(val))
+                _check("repeat", "count", repeat)
             except ValueError as exc:
                 raise ConfigError("line %d: bad value for 'repeat': %s" % (lineno, exc))
-            if repeat < 1:
-                raise ConfigError("line %d: repeat must be at least 1" % lineno)
     if axis is None or not values:
         raise ConfigError("sweep spec needs axis= and values=")
     base, lines = _parse_scenario("\n".join(config_lines))

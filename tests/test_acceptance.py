@@ -199,7 +199,7 @@ def test_11_catalog_is_deterministic(catalog):
 
 
 def test_12_packet_conservation_and_drain():
-    from lbesim.controllers import make_controller
+    from lbesim.harness import make_controller
     from lbesim.network import BottleneckLink
     from lbesim.transport import FlowEndpoint
 

@@ -10,8 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lbesim.controllers import (LedbatController, LpController,
-                                NiceController, RenoController, SlidingExtrema,
-                                buffer_delay_s, make_controller)
+                                NiceController, RenoController, SlidingExtrema)
+from lbesim.harness import buffer_delay_s, make_controller
 from lbesim.engine import Simulator
 from oracles import (StubFlow, ledbat_offset, lp_early_congestion,
                      lp_inferring, lp_update_delay, nice_mark_threshold)

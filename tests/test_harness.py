@@ -60,6 +60,58 @@ def test_load_scenario_rejects_gappy_flow_indices():
         load_scenario("flows.0.protocol=reno\nflows.2.protocol=reno\n")
 
 
+@pytest.mark.parametrize("text, line, missing", [
+    ("horizon_s=2\nflows.0.protocol=reno\nflows.2.protocol=lp\n", 3, 1),
+    # flow 2 is the first past the gap, and its first line is line 4
+    ("flows.3.protocol=lp\nflows.0.protocol=reno\nhorizon_s=2\n"
+     "flows.2.params.alpha=0.5\nflows.2.protocol=lp\n", 4, 1),
+    ("flows.1.protocol=reno\n", 1, 0),
+], ids=["one-gap", "first-flow-past-the-gap", "no-flow-0"])
+def test_gap_in_flow_numbering_names_the_first_line_past_it(text, line, missing):
+    with pytest.raises(ConfigError, match=r"^line %d: flow indices must be contiguous "
+                       "from 0, and flow %d is missing$" % (line, missing)):
+        load_scenario(text)
+
+
+# Not a flow index, which is plain ASCII digits: int() reads each of these
+# but the last, which has more digits than it converts, as a number
+_NOT_AN_INDEX = ["+0", "-0", " 1", "1 ", "\u0661", "1_0", "1" * 5000]
+
+
+@pytest.mark.parametrize("index", _NOT_AN_INDEX,
+                         ids=["plus", "minus", "space-before", "space-after",
+                              "arabic-indic-digit", "underscore", "too-many-digits"])
+def test_flow_index_is_plain_ascii_digits(index):
+    text = "horizon_s=2\nflows.0.protocol=reno\nflows.1.protocol=reno\n"
+    with pytest.raises(ConfigError, match=r"^line 4: unknown key 'flows\.%s\.protocol'$"
+                       % re.escape(index)):
+        load_scenario(text + "flows.%s.protocol=lp\n" % index)
+    with pytest.raises(ConfigError, match="names no scenario field"):
+        set_param(load_scenario(text), "flows.%s.protocol" % index, "lp")
+
+
+def test_flow_index_may_have_leading_zeros_and_is_named_in_plain_decimal():
+    text = "horizon_s=2\nflows.0.protocol=reno\nflows.1.protocol=reno\n"
+    assert load_scenario(text + "flows.01.protocol=lp\n").flows[1].protocol == "lp"
+    assert set_param(load_scenario(text), "flows.01.protocol", "lp").flows[1].protocol == "lp"
+    with pytest.raises(ConfigError, match=r"^line 4: flows\.1\.params\.bogus: "):
+        load_scenario(text + "flows.001.params.bogus=1\n")
+
+
+_UNKNOWN_PARAM = ("horizon_s=2\nflows.0.protocol=lp\nflows.0.params.alpha=0.5\n"
+                  "flows.0.params.bogus=1\n")
+
+
+def test_unknown_controller_parameter_names_its_own_line(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"^line 4: flows\.0\.params\.bogus: lp "
+                       "takes no such parameter$"):
+        load_scenario(_UNKNOWN_PARAM)
+    spec = write(tmp_path, "sweep.cfg", "axis=horizon_s\nvalues=2\n" + _UNKNOWN_PARAM)
+    assert cli.main(["sweep", spec]) == 2
+    assert capsys.readouterr().err == \
+        "lbesim: line 6: flows.0.params.bogus: lp takes no such parameter\n"
+
+
 def test_load_scenario_rejects_unknown_protocol():
     with pytest.raises(ConfigError, match="flows.0.protocol"):
         load_scenario("flows.0.protocol=cubic\n")
@@ -175,7 +227,7 @@ def test_validate_rejects_non_positive_values():
 
 def test_target_fraction_uses_scenario_bottleneck():
     cfg = load_scenario("flows.0.protocol=ledbat\nflows.0.params.T_pct=20\n")
-    ctl = cfg.build_controller(cfg.flows[0])
+    [ctl] = cfg._controllers()
     assert ctl.tau == pytest.approx(0.024)  # 20% of the 120 ms buffer delay
 
 
@@ -364,6 +416,18 @@ def test_run_sweep_rejects_a_bad_point_before_any_run(monkeypatch):
     assert runs == []
 
 
+@pytest.mark.parametrize("repeat", [0, -3, True, 2.5, "2"])
+def test_run_sweep_checks_repeat_as_a_count_before_any_run(monkeypatch, repeat):
+    spec = SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s", [1.0], repeat=repeat)
+    runs = []
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda *a, **kw: runs.append(a))
+    with pytest.raises(ConfigError, match="^repeat must be a positive whole number, "
+                       "got %s$" % re.escape(repr(repeat))):
+        run_sweep(spec)
+    assert runs == []
+
+
 def test_run_sweep_builds_each_point_once_and_runs_that_config(monkeypatch):
     spec = SweepSpec(short_cfg("reno", horizon=1.0), "horizon_s", [1.0, 2.0],
                      repeat=2)
@@ -396,9 +460,9 @@ _LONG = 10**5000  # an int past Python's 4,300-digit printing limit
                                  [-_LONG])),
      "^sweep point <int of 5001 digits>: horizon_s must be"),
     (lambda: ScenarioConfig(flows=[FlowConfig("lp", {"alpha": _LONG})]).validate(),
-     r"^flows\.0\.params: alpha must be in \(0, 1\], got <int of 5001 digits>$"),
+     r"^flows\.0\.params\.alpha must be in \(0, 1\], got <int of 5001 digits>$"),
     (lambda: ScenarioConfig(flows=[FlowConfig("reno", {"x": _LONG})]).validate(),
-     "^flows.0.params: reno takes no parameters: <dict holding an int too long"),
+     r"^flows\.0\.params\.x: reno takes no such parameter$"),
     (lambda: ScenarioConfig(flows=[_LONG]).validate(),
      "^flows must be a list of flow configs, got <list holding an int too long"),
 ], ids=["scenario-field", "sweep-value", "controller-param", "reno-params",
@@ -553,7 +617,7 @@ _HUGE = "1" + "0" * 400  # an int too large for a float
     ("run", "flows.0.protocol=reno\ncapacity_bps=%s\n" % _HUGE,
      "line 2: bad value for 'capacity_bps'"),
     ("run", "flows.0.protocol=ledbat\nflows.0.params.tau_ms=%s\n" % _HUGE,
-     "line 2: flows.0.params: tau_ms must be"),
+     "line 2: flows.0.params.tau_ms must be"),
     ("sweep", "axis=horizon_s\nvalues=1,%s\nflows.0.protocol=reno\n" % _HUGE,
      "line 2: horizon_s=%s: horizon_s must be" % _HUGE),
 ], ids=["scenario-field", "controller-param", "sweep-value"])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbesim import controllers
+from lbesim import harness
 from lbesim.controllers import LpController
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 from oracles import StubFlow, lp_inferring
@@ -100,7 +100,7 @@ def outputs(cfg, event_log=None):
 
 def reference_outputs(cfg, event_log=None):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(controllers, "LpController", EventLp)  # make_controller's
+        mp.setattr(harness, "LpController", EventLp)  # make_controller's
         return outputs(cfg, event_log)
 
 
