@@ -157,8 +157,10 @@ class ScenarioConfig:
                 raise ConfigError("flows.%d.start_at: %g is not before the "
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
                                   key="flows.%d.start_at" % i)
-            controllers.append(make_controller(fc.protocol, fc.params, drain_s,
-                                               "flows.%d.params" % i))
+            at = "flows.%d.params" % i
+            if fc.params is None:  # which make_controller takes as no parameters
+                raise ConfigError("%s must be a dict, got None" % at, key=at)
+            controllers.append(make_controller(fc.protocol, fc.params, drain_s, at))
             if fc.protocol == "lp":  # no RTT outlasts the run
                 _check("flows.%d.params.inference_rtts" % i
                        if "inference_rtts" in fc.params else "horizon_s", "time",
@@ -184,13 +186,15 @@ def buffer_delay_s(capacity_bps, pkt_size_bytes, buffer_pkts):
 
 
 def make_controller(protocol, params=None, buffer_delay_s=None, at="params"):
-    """Build a controller from a protocol tag and a parameter mapping,
-    checking each parameter as field `at`.<name> of the kind PARAMS gives
-    it; a LEDBAT T_pct is a percentage of buffer_delay_s, the time the full
-    buffer takes to drain. Bad input raises ConfigError."""
+    """Build a controller from a protocol tag and a dict of parameters (or
+    None), checking each as field `at`.<name> of the kind PARAMS gives it; a
+    LEDBAT T_pct is a percentage of buffer_delay_s, the time the full buffer
+    takes to drain. Bad input raises ConfigError."""
     _check("protocol", "protocol", protocol)
     kinds = PARAMS[protocol]
-    given = dict(params or {})
+    given = {} if params is None else params
+    if not isinstance(given, dict):
+        raise ConfigError("%s must be a dict, got %s" % (at, shown(params)), key=at)
     for name, value in given.items():
         path = "%s.%s" % (at, name)
         if name not in kinds:
@@ -207,19 +211,21 @@ def make_controller(protocol, params=None, buffer_delay_s=None, at="params"):
     for one, other in (("tau_ms", "T_pct"), ("gamma", "G")):
         if one in given and other in given:
             raise ConfigError("%s: give %s or %s, not both" % (at, one, other),
-                              key=at)
+                              key="%s.%s" % (at, other))
+    target = at + (".T_pct" if "T_pct" in given else ".tau_ms")
     if "T_pct" in given:
         if buffer_delay_s is None:
-            raise ConfigError("%s.T_pct needs bottleneck parameters" % at,
-                              key=at + ".T_pct")
+            raise ConfigError("%s needs bottleneck parameters" % target, key=target)
         tau = p["T_pct"] / 100.0 * buffer_delay_s
     else:
         tau = p["tau_ms"] / 1000.0
     if not 0 < tau < INF:  # a tau_ms can underflow, a huge buffer overflow
-        raise ConfigError("%s: ledbat target must be positive and finite" % at, key=at)
+        raise ConfigError("%s: ledbat target must be positive and finite" % at,
+                          key=target)
     gamma = p["gamma"] if "gamma" in given else p["G"] / tau
-    if not gamma < INF:
-        raise ConfigError("%s: ledbat gain must be finite" % at, key=at)
+    if not gamma < INF:  # G / tau: a given G, or else the target, is at fault
+        raise ConfigError("%s: ledbat gain must be finite" % at,
+                          key=at + ".G" if "G" in given else target)
     return LedbatController(tau=tau, gamma=gamma, slow_start=p["slow_start"])
 
 
@@ -241,13 +247,11 @@ def _field(path):
     raise ConfigError("%r names no scenario field" % path)
 
 
-def _assign(cfg, path, value, convert=None):
-    """Set the field that dotted `path` names to value, or to
-    convert(kind, value), in place; return the path with the flow index in
-    plain decimal. ConfigError if no field or flow of cfg has that path."""
+def _assign(cfg, path, value):
+    """Set the field that dotted `path` names to value, in place; return
+    the path with the flow index in plain decimal. ConfigError if no field
+    or flow of cfg has that path."""
     kind, idx, name = _field(path)
-    if convert is not None:
-        value = convert(kind, value)
     if idx is None:
         setattr(cfg, name, value)
         return path
@@ -276,23 +280,6 @@ def _parse_value(text):
     return t
 
 
-def _from_text(kind, val):
-    """A value parsed from config text as a field of `kind` holds it;
-    ValueError for text or a bool where a number belongs and for a
-    fractional count, rather than a silent coercion."""
-    if kind == "param":
-        return val
-    if kind == "protocol":
-        return str(val)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError("expected a number, got %r" % (val,))
-    if kind == "count":
-        if isinstance(val, float) and not val.is_integer():
-            raise ValueError("expected a whole number, got %r" % (val,))
-        return int(val)
-    return float(val)
-
-
 def _line_of(key, lines):
     """Line that set config field `key`, or the first line that set a field
     below it; None if no line did."""
@@ -302,20 +289,9 @@ def _line_of(key, lines):
     return min(below) if below else None
 
 
-def load_scenario(text):
-    """Parse and validate a key=value scenario document. Each key is a field
-    path, except that the text gives the two delays in ms. Unknown keys are
-    rejected; errors carry the offending line number or field name."""
-    return _validated(*_parse_scenario(text))
-
-
-def _parse_scenario(text):
-    """The config a scenario document sets, not yet validated, and the line
-    that set each field. Lines end only at newlines, as cli._read counts."""
-    ms_names = {"fwd_prop_delay_ms": "fwd_prop_delay_s",
-                "extra_return_delay_ms": "extra_return_delay_s"}
-    cfg = ScenarioConfig(flows=defaultdict(lambda: FlowConfig(protocol="reno")))
-    lines = {}  # config field -> line that set it
+def _entries(text):
+    """(line number, key, value text) for each key=value line of config
+    text; lines end only at newlines, as cli._read counts them."""
     for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -323,21 +299,40 @@ def _parse_scenario(text):
         if "=" not in line:
             raise ConfigError("line %d: expected key=value, got %r" % (lineno, raw))
         key, _, val = line.partition("=")
-        key = key.strip()
-        path, convert = key, _from_text
+        yield lineno, key.strip(), val
+
+
+def load_scenario(text):
+    """Parse and validate a key=value scenario document. Each key is a field
+    path, except that the text gives the two delays in ms. Unknown keys are
+    rejected; errors carry the offending line number or field name."""
+    return _validated(*_parse_scenario(_entries(text)))
+
+
+def _parse_scenario(entries):
+    """The config that _entries set, not yet validated, and the line that set
+    each field. A value is what _parse_value gives, for validate to judge;
+    only an ms key converts its value, a finite number, to seconds."""
+    ms_names = {"fwd_prop_delay_ms": "fwd_prop_delay_s",
+                "extra_return_delay_ms": "extra_return_delay_s"}
+    cfg = ScenarioConfig(flows=defaultdict(lambda: FlowConfig(protocol="reno")))
+    lines = {}  # config field -> line that set it
+    for lineno, key, text in entries:
+        path, value = key, _parse_value(text)
         head, dot, name = key.rpartition(".")
         if not head.endswith(".params"):  # a field: text gives its delays in ms
             if name in ms_names.values():
                 raise ConfigError("line %d: unknown key %r" % (lineno, key))
             if name in ms_names:
+                if not _finite(value):
+                    raise ConfigError("line %d: bad value for %r: expected a number, "
+                                      "got %s" % (lineno, key, shown(value)))
                 path = head + dot + ms_names[name]
-                convert = lambda kind, v: _from_text(kind, v) / 1000.0
+                value = value / 1000.0
         try:
-            lines[_assign(cfg, path, _parse_value(val), convert)] = lineno
+            lines[_assign(cfg, path, value)] = lineno
         except ConfigError:
             raise ConfigError("line %d: unknown key %r" % (lineno, key)) from None
-        except (OverflowError, ValueError) as exc:  # an int too large for a float
-            raise ConfigError("line %d: bad value for %r: %s" % (lineno, key, exc))
     indices = sorted(cfg.flows)
     for missing, idx in enumerate(indices):
         if idx != missing:
@@ -516,35 +511,31 @@ def sweep_csv(points):
 
 def load_sweep(text):
     """Parse a sweep spec document: axis=, values= (comma separated) and
-    optional repeat=, on top of an ordinary scenario config. Every point
-    is validated before any runs; errors name the line at fault. The base
-    config is validated only when a point fails, to tell whose line that
-    is: a value every point overrides is never run."""
+    optional repeat=, on top of scenario lines, each kept with its number.
+    Each of values= is what _parse_value gives, as on a scenario line. Every
+    point is validated before any runs; errors name the line at fault. The
+    base config is validated only when a point fails, to tell whose line
+    that is: a value every point overrides is never run."""
     axis = values = None
     repeat = 1
-    values_line = None
-    config_lines = []
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), 1):
-        key, _, val = raw.strip().partition("=")
-        key = key.strip()
-        if key not in ("axis", "values", "repeat"):
-            config_lines.append(raw)
-            continue
-        config_lines.append("")  # keeps the scenario lines' numbers
+    config = []  # the scenario's entries, each with its own line number
+    for lineno, key, val in _entries(text):
         if key == "axis":
             axis = val.strip()
         elif key == "values":
             values = [_parse_value(v) for v in val.split(",")]
             values_line = lineno
-        else:
+        elif key == "repeat":
+            repeat = _parse_value(val)
             try:
-                repeat = _from_text("count", _parse_value(val))
                 _check("repeat", "count", repeat)
-            except ValueError as exc:
-                raise ConfigError("line %d: bad value for 'repeat': %s" % (lineno, exc))
+            except ConfigError as exc:
+                raise ConfigError("line %d: %s" % (lineno, exc)) from None
+        else:
+            config.append((lineno, key, val))
     if axis is None or not values:
         raise ConfigError("sweep spec needs axis= and values=")
-    base, lines = _parse_scenario("\n".join(config_lines))
+    base, lines = _parse_scenario(config)
     spec = SweepSpec(base=base, axis=axis, values=values, repeat=repeat)
     for value in values:
         try:

@@ -125,6 +125,60 @@ def test_load_scenario_rejects_bad_controller_params():
         load_scenario(text)
 
 
+_LEDBAT = "horizon_s=2\nflows.0.protocol=ledbat\n"
+
+
+@pytest.mark.parametrize("params, line, message", [
+    ("G=1\ntau_ms=25\nT_pct=20", 5, "give tau_ms or T_pct, not both"),
+    ("tau_ms=25\nG=1\ngamma=2", 4, "give gamma or G, not both"),
+    ("G=1\ntau_ms=5e-324", 4, "ledbat target must be positive and finite"),
+    ("G=1\nT_pct=5e-324", 4, "ledbat target must be positive and finite"),
+    ("tau_ms=1e-300\nG=1e300", 4, "ledbat gain must be finite"),
+    # no G is given: the default G over the target is at fault, on its line
+    ("slow_start=true\ntau_ms=1e-320", 4, "ledbat gain must be finite"),
+], ids=["both-targets", "both-gains", "underflowing-tau", "underflowing-T_pct",
+        "overflowing-gain-of-G", "overflowing-gain-of-the-target"])
+def test_ledbat_resolution_errors_name_a_line_of_the_parameters_at_fault(
+        params, line, message):
+    text = _LEDBAT + "".join("flows.0.params.%s\n" % p for p in params.split("\n"))
+    with pytest.raises(ConfigError, match=r"^line %d: flows\.0\.params: %s$"
+                       % (line, message)):
+        load_scenario(text)
+
+
+@pytest.mark.parametrize("params", [5, "ab", None, [("alpha", 0.5)]],
+                         ids=["int", "string", "none", "list-of-pairs"])
+def test_flow_params_must_be_a_dict(params):
+    cfg = ScenarioConfig(flows=[FlowConfig("reno"), FlowConfig("lp", params=params)])
+    with pytest.raises(ConfigError, match=r"^flows\.1\.params must be a dict, "
+                       "got %s$" % re.escape(repr(params))) as err:
+        cfg.validate()
+    assert err.value.key == "flows.1.params"
+    if params is None:  # make_controller takes None for no parameters
+        assert harness.make_controller("lp", params).alpha == 0.125
+        return
+    with pytest.raises(ConfigError, match=r"^at must be a dict, got ") as err:
+        harness.make_controller("lp", params, None, "at")
+    assert err.value.key == "at"
+
+
+@pytest.mark.parametrize("field, text, rule, got", [
+    ("buffer_pkts", "2.5", "a positive whole number", "2.5"),
+    ("buffer_pkts", "true", "a positive whole number", "True"),
+    ("capacity_bps", "abc", "finite and positive", "'abc'"),
+    ("capacity_bps", "1" + "0" * 400, "finite and positive", "1" + "0" * 400),
+    ("horizon_s", "true", "at least 1 ns and at most 2**63 ns once rounded to "
+     "whole ns", "True"),
+], ids=["fractional-count", "boolean-count", "text-number", "huge-int",
+        "boolean-time"])
+def test_a_bad_value_gets_one_message_on_a_line_and_in_values(field, text, rule, got):
+    message = re.escape("%s must be %s, got %s" % (field, rule, got))
+    with pytest.raises(ConfigError, match="^line 2: %s$" % message):
+        load_scenario("flows.0.protocol=reno\n%s=%s\n" % (field, text))
+    with pytest.raises(ConfigError, match="^line 2: %s=.*: %s$" % (field, message)):
+        load_sweep("axis=%s\nvalues=%s\nflows.0.protocol=reno\n" % (field, text))
+
+
 @pytest.mark.parametrize("text, line, field", [
     ("flows.0.protocol=ledbat\nflows.0.params.tau_ms=abc\n", 2, "tau_ms"),
     ("capacity_bps=nan\nflows.0.protocol=reno\n", 1, "capacity_bps"),
@@ -569,7 +623,7 @@ def test_load_sweep_rejects_unresolvable_axis():
     ("axis=horizon_s\nvalues=1\nrepeat=two\nflows.0.protocol=reno\n",
      "line 3: .*repeat"),
     ("axis=horizon_s\nvalues=1\nrepeat=0\nflows.0.protocol=reno\n",
-     "line 3: .*repeat"),
+     "^line 3: repeat must be a positive whole number, got 0$"),
     ("axis=horizon_s\nvalues=1\nflows.0.protocol=cubic\n", "line 3: .*protocol"),
 ], ids=["bad-param-value", "nan-horizon", "text-repeat", "zero-repeat",
         "scenario-line-number"])
@@ -615,7 +669,7 @@ _HUGE = "1" + "0" * 400  # an int too large for a float
 
 @pytest.mark.parametrize("command, text, match", [
     ("run", "flows.0.protocol=reno\ncapacity_bps=%s\n" % _HUGE,
-     "line 2: bad value for 'capacity_bps'"),
+     "line 2: capacity_bps must be finite and positive"),
     ("run", "flows.0.protocol=ledbat\nflows.0.params.tau_ms=%s\n" % _HUGE,
      "line 2: flows.0.params.tau_ms must be"),
     ("sweep", "axis=horizon_s\nvalues=1,%s\nflows.0.protocol=reno\n" % _HUGE,
