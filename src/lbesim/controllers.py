@@ -167,15 +167,15 @@ class LpController:
 class NiceController:
     """TCP-NICE: Vegas window dynamics plus per-RTT halving when the
     majority of packets in an RTT see a delay beyond the min/max-range
-    threshold. cwnd may drop below one packet down to a configurable floor
-    (one packet every 1/floor RTTs).
+    threshold. cwnd floors at one packet, as every controller's does (TCP
+    Nice lets it fall to 1/48: one packet every 48 RTTs).
 
     The marking threshold is computed over a sliding delay history so it
     tracks current conditions rather than latching onto the cold-start
     minimum. The halving additionally requires the flow's own standing
     queue (the Vegas diff) to exceed beta_v: a flow already below its
     Vegas band is not the cause of the marked delays and backs off via
-    the Vegas rules instead of collapsing to the floor.
+    the Vegas rules instead of collapsing to one packet.
 
     Two rules keep the scheme RTT-fair. Slow start exits on the first
     *marked* ack rather than at the end of the epoch: over a long RTT a
@@ -191,11 +191,9 @@ class NiceController:
     alpha_v = 1.0  # the Vegas band, in packets of the flow's own backlog
     beta_v = 3.0
 
-    def __init__(self, delta=0.2, phi=0.5, floor=1.0 / 48.0, history_s=10.0,
-                 increase_rate=20.0):
+    def __init__(self, delta=0.2, phi=0.5, history_s=10.0, increase_rate=20.0):
         self.delta = delta
         self.phi = phi
-        self.floor = floor
         self.increase_rate = increase_rate
         self._window = SlidingExtrema(history_s)
         self.base_rtt = INF  # all-time minimum: the propagation reference
@@ -232,7 +230,7 @@ class NiceController:
         diff = flow.cwnd * (1.0 - self.base_rtt / rtt)
         if (self.total and self.marked / self.total > self.phi
                 and diff >= self.beta_v):
-            flow.cwnd = max(flow.cwnd / 2.0, self.floor)
+            flow.cwnd = max(flow.cwnd / 2.0, 1.0)
             self.in_slow_start = False
         elif self.in_slow_start:
             if diff > self.alpha_v:
@@ -240,14 +238,14 @@ class NiceController:
         elif diff < self.alpha_v:
             flow.cwnd += self.increase_rate * rtt
         elif diff > self.beta_v:
-            flow.cwnd = max(flow.cwnd - 1.0, self.floor)
+            flow.cwnd = max(flow.cwnd - 1.0, 1.0)
         self.marked = 0
         self.total = 0
         self._epoch_end_seq = flow.snd_next - 1
 
     def on_loss(self, flow, kind):
         if kind == "dupack":
-            flow.cwnd = max(flow.cwnd / 2.0, self.floor)
+            flow.cwnd = max(flow.cwnd / 2.0, 1.0)
         self.marked = 0
         self.total = 0
         self._epoch_end_seq = None

@@ -16,7 +16,6 @@ PACKET_ARRIVAL = "PacketArrival"
 RTO_TIMER = "RtoTimer"
 METRICS_SAMPLE_TICK = "MetricsSampleTick"
 FLOW_START = "FlowStart"
-CREDIT_TICK = "CreditTick"
 
 
 def to_ns(seconds):
@@ -28,7 +27,8 @@ class ScheduleInPastError(ValueError):
 
 
 class SimulationFault(RuntimeError):
-    """A handler raised; the offending event is identified in the message."""
+    """A handler raised, and the message names its event; or a run's books
+    did not close (harness.run_scenario)."""
 
 
 # A handle is the list [at_ns, seq, kind, fn, label]: the key the event
@@ -71,9 +71,6 @@ class Simulator:
 
     def schedule_at(self, at_s, kind, fn, label=""):
         return self.schedule_at_ns(to_ns(at_s), kind, fn, label)
-
-    def schedule_after(self, delay_s, kind, fn, label=""):
-        return self.schedule_at_ns(self.now_ns + to_ns(delay_s), kind, fn, label)
 
     def schedule_at_ns(self, at_ns, kind, fn, label=""):
         """Schedule fn() at integer time at_ns; returns its handle."""

@@ -33,8 +33,7 @@ PARAMS = {
     "lp": {"alpha": ("(0, 1]", 0.125), "delta": ("[0, 1]", 0.15),
            "inference_rtts": ("positive", 3.0)},
     "nice": {"delta": ("[0, 1]", 0.2), "phi": ("[0, 1]", 0.5),
-             "floor": ("(0, 1]", 1.0 / 48.0), "history_s": ("positive", 10.0),
-             "increase_rate": ("non-negative", 20.0)},
+             "history_s": ("positive", 10.0), "increase_rate": ("non-negative", 20.0)},
     "ledbat": {"tau_ms": ("positive", 25.0), "T_pct": ("positive", None),
                "gamma": ("positive", None), "G": ("positive", 1.0),
                "slow_start": ("bool", False)},
@@ -140,11 +139,7 @@ class ScenarioConfig:
                self.pkt_size_bytes * 8.0 / self.capacity_bps,
                "the serialization time of one %g-byte packet"
                % self.pkt_size_bytes)
-        if not (isinstance(self.flows, (list, tuple))
-                and all(isinstance(fc, FlowConfig) for fc in self.flows)):
-            raise ConfigError("flows must be a list of flow configs, got %s"
-                              % shown(self.flows), key="flows")
-        if not self.flows:
+        if not _flows(self):
             raise ConfigError("scenario needs at least one flow")
         drain_s = buffer_delay_s(self.capacity_bps, self.pkt_size_bytes, self.buffer_pkts)
         controllers = []
@@ -157,10 +152,8 @@ class ScenarioConfig:
                 raise ConfigError("flows.%d.start_at: %g is not before the "
                                   "horizon %g" % (i, fc.start_at, self.horizon_s),
                                   key="flows.%d.start_at" % i)
-            at = "flows.%d.params" % i
-            if fc.params is None:  # which make_controller takes as no parameters
-                raise ConfigError("%s must be a dict, got None" % at, key=at)
-            controllers.append(make_controller(fc.protocol, fc.params, drain_s, at))
+            controllers.append(make_controller(fc.protocol, fc.params, drain_s,
+                                               "flows.%d.params" % i))
             if fc.protocol == "lp":  # no RTT outlasts the run
                 _check("flows.%d.params.inference_rtts" % i
                        if "inference_rtts" in fc.params else "horizon_s", "time",
@@ -168,6 +161,21 @@ class ScenarioConfig:
                        "the longest inference phase of flow %d "
                        "(inference_rtts * horizon_s)" % i)
         return controllers
+
+
+def _flows(cfg):
+    """cfg.flows; ConfigError unless it is a list of flow configs, each
+    with a dict of parameters."""
+    flows = cfg.flows
+    for i, fc in enumerate(flows if isinstance(flows, (list, tuple)) else [None]):
+        if not isinstance(fc, FlowConfig):
+            raise ConfigError("flows must be a list of flow configs, got %s"
+                              % shown(flows), key="flows")
+        if not isinstance(fc.params, dict):
+            at = "flows.%d.params" % i
+            raise ConfigError("%s must be a dict, got %s" % (at, shown(fc.params)),
+                              key=at)
+    return flows
 
 
 def _check(path, kind, value, of=None):
@@ -250,13 +258,16 @@ def _field(path):
 def _assign(cfg, path, value):
     """Set the field that dotted `path` names to value, in place; return
     the path with the flow index in plain decimal. ConfigError if no field
-    or flow of cfg has that path."""
+    or flow of cfg has that path, or, before any write to a flow, if cfg's
+    flows are not flow configs with dicts of parameters."""
     kind, idx, name = _field(path)
     if idx is None:
         setattr(cfg, name, value)
         return path
+    # _parse_scenario's flows: a defaultdict by index until it lists them
+    flows = cfg.flows if isinstance(cfg.flows, defaultdict) else _flows(cfg)
     try:
-        fc = cfg.flows[idx]
+        fc = flows[idx]
     except IndexError:
         raise ConfigError("%r: the scenario has no flow %d" % (path, idx)) from None
     if kind == "param":
@@ -412,6 +423,17 @@ def run_scenario(cfg, traces=False, scenario_id="scenario", extra_params=None,
 
         sim.schedule_at(0.0, engine.METRICS_SAMPLE_TICK, sample_tick, label="sample")
     stats = sim.run_until(cfg.horizon_s)
+    # The books: every pending event is an ack on a flow's return path or a
+    # flow's RTO timer, and the link took every packet a flow saw accepted.
+    owned = accepted = 0
+    for f in flows:
+        owned += len(f._acks) + (f._rto_timer is not None)
+        accepted += f.packets_sent - f.packets_dropped
+    if stats.pending != owned or link.total_enqueued != accepted:
+        raise engine.SimulationFault(
+            "books do not close: %d events pending, %d owned by flows; the link "
+            "took %d packets, the flows count %d accepted"
+            % (stats.pending, owned, link.total_enqueued, accepted))
     if traces:  # copies without growth slack: 8 bytes per value
         sample_times, queue_samples = sample_times[:], queue_samples[:]
         cwnd_traces = {fid: col[:] for fid, col in cwnd_traces.items()}

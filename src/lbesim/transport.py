@@ -34,9 +34,9 @@ class FlowEndpoint:
         "sim", "link", "flow_id", "controller", "start_at", "_return_ns",
         "label", "_ack_label", "_ack_handler", "_rto_handler", "cwnd",
         "ssthresh", "snd_next", "snd_una", "rtx_next", "dupacks", "in_recovery",
-        "fractional_credit", "_credit_timer", "srtt", "rttvar", "rto",
-        "rto_backoff", "_rto_timer", "horizon_ns", "rx_next", "rx_ooo", "_acks",
-        "packets_sent", "packets_dropped", "delivered_pkts", "window_bytes")
+        "srtt", "rttvar", "rto", "rto_backoff", "_rto_timer", "horizon_ns",
+        "rx_next", "rx_ooo", "_acks", "packets_sent", "packets_dropped",
+        "delivered_pkts", "window_bytes")
 
     def __init__(self, sim, link, flow_id, controller, return_delay_s=0.025,
                  start_at=0.0):
@@ -59,8 +59,6 @@ class FlowEndpoint:
         self.rtx_next = 0  # next to send; behind snd_next in a go-back-N resend
         self.dupacks = 0
         self.in_recovery = False
-        self.fractional_credit = 0.0
-        self._credit_timer = None
 
         self.srtt = None
         self.rttvar = None
@@ -96,11 +94,12 @@ class FlowEndpoint:
     # -- sending ---------------------------------------------------------
 
     def try_send(self, resend=None):
-        """Emit data while the window allows; the source is backlogged and
-        never runs out of data. After a timeout rtx_next steps go-back-N
-        through the un-acked region before any new data goes out. A fast
-        retransmit passes `resend`, the sequence number to send: that one
-        packet goes out whatever the window, and nothing else does.
+        """Emit data while the window, floor(cwnd) packets, allows; the
+        source is backlogged and never runs out of data. After a timeout
+        rtx_next steps go-back-N through the un-acked region before any new
+        data goes out. A fast retransmit passes `resend`, the sequence
+        number to send: that one packet goes out whatever the window, and
+        nothing else does.
 
         Each packet is offered to the link here, and one that arrives by
         the horizon goes to on_data_arrival at once. The first one sent
@@ -108,7 +107,7 @@ class FlowEndpoint:
         enqueue = self.link.enqueue
         now_ns = self.sim.now_ns
         now = self.sim.now
-        window = math.floor(self.cwnd + self.fractional_credit)
+        window = math.floor(self.cwnd)
         seq = resend
         while True:
             if seq is None:
@@ -131,31 +130,6 @@ class FlowEndpoint:
             if resend is not None:
                 break
             seq = None
-            if self.cwnd < 1.0:
-                # a sub-packet window spends one unit of accumulated credit
-                self.fractional_credit = max(self.fractional_credit - 1.0, 0.0)
-                window = math.floor(self.cwnd + self.fractional_credit)
-
-    def _maybe_schedule_credit_tick(self):
-        """With cwnd < 1 and nothing in flight there are no acks to clock the
-        sender, so credit accrues on a timer: +cwnd per (s)RTT until one full
-        packet of allowance is available. The timer is pending only while
-        nothing is in flight, so no ack, RTO or fast retransmit sends then:
-        only the tick does, after it clears the timer."""
-        if (self.cwnd < 1.0 and self.in_flight == 0
-                and self.cwnd + self.fractional_credit < 1.0
-                and self._credit_timer is None):
-            interval = self.srtt if self.srtt else self.rto
-            self._credit_timer = self.sim.schedule_after(
-                interval, engine.CREDIT_TICK, self._credit_tick,
-                label="credit-" + self.label)
-
-    def _credit_tick(self):
-        self._credit_timer = None
-        if self.in_flight == 0 and self.cwnd < 1.0:
-            self.fractional_credit += self.cwnd
-            self.try_send()
-        self._maybe_schedule_credit_tick()
 
     # -- receiver side ---------------------------------------------------
 
@@ -227,13 +201,7 @@ class FlowEndpoint:
                 sim.cancel(self._rto_timer)
                 self._rto_timer = None
             self.controller.on_ack(self, rtt, owd)
-            if self.cwnd < 1.0:
-                self.fractional_credit += self.cwnd
-                self.try_send()
-                self._maybe_schedule_credit_tick()
-            else:
-                self.fractional_credit = 0.0
-                self.try_send()
+            self.try_send()
         elif ack_no == self.snd_una and self.snd_next > ack_no:  # in flight
             self.dupacks += 1
             if self.dupacks == 3:

@@ -4,7 +4,7 @@ every test that inspects catalog results."""
 
 import pytest
 
-from lbesim import harness
+from lbesim import engine, harness
 
 # Every (experiment id, protocol) instance of the catalog.
 CATALOG = (
@@ -64,3 +64,17 @@ def built(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "__init__", collecting)
     return made
+
+
+def books_also_owning(monkeypatch, owned):
+    """Let run_scenario's books count as owned the events that owned()
+    says a reference model holds at the horizon, beside the flows' own
+    acks and RTO timers: RunStats.pending leaves them out."""
+    run_until = engine.Simulator.run_until
+
+    def run_until_leaving_them_out(sim, t_end_s):
+        stats = run_until(sim, t_end_s)
+        stats.pending -= owned()
+        return stats
+
+    monkeypatch.setattr(engine.Simulator, "run_until", run_until_leaving_them_out)

@@ -232,7 +232,7 @@ def test_12_packet_conservation_and_drain():
 
     for f in flows:
         f.controller = Closed()
-        f.cwnd = f.fractional_credit = 0.0
+        f.cwnd = 0.0
     sim.run_until(15.0)
     drained = all(not f._acks and landed(f) == f.packets_sent - f.packets_dropped
                   for f in flows)

@@ -15,7 +15,7 @@ queue samples and their ties with acks included."""
 from collections import deque
 
 import pytest
-from conftest import built
+from conftest import books_also_owning, built
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +35,12 @@ class ThreeEventLink(network.BottleneckLink):
         super().__init__(*args)
         self.queue = deque()
         self.in_service = None
+        self.arriving = 0  # data-arrival events pending
+
+    def events(self):
+        """The events the link holds: a TransmissionComplete while it
+        serializes, and each data arrival not yet dispatched."""
+        return (self.in_service is not None) + self.arriving
 
     def backlog(self, now_ns):
         return len(self.queue)
@@ -66,8 +72,11 @@ class ThreeEventLink(network.BottleneckLink):
     def _tx_done(self):
         flow, seq, sent_at = self.in_service
         sim = flow.sim
-        arrive = lambda: transport.FlowEndpoint.on_data_arrival(
-            flow, seq, sent_at, sim.now_ns)
+
+        def arrive():
+            self.arriving -= 1
+            transport.FlowEndpoint.on_data_arrival(flow, seq, sent_at, sim.now_ns)
+        self.arriving += 1
         sim.schedule_at_ns(sim.now_ns + self._prop_ns, engine.PACKET_ARRIVAL,
                            arrive, flow.label)
         if self.queue:
@@ -117,6 +126,8 @@ def reference_outputs(cfg, event_log=None):
         mp.setattr(harness, "BottleneckLink", ThreeEventLink)
         mp.setattr(harness, "FlowEndpoint", ThreeEventFlow)
         mp.setattr(transport, "return_path_send", scheduled_return_path)
+        links = built(mp, ThreeEventLink)
+        books_also_owning(mp, lambda: sum(link.events() for link in links))
         return outputs(cfg, event_log)
 
 

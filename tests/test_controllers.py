@@ -321,15 +321,6 @@ def test_nice_vegas_decrease_without_marks():
     assert flow.cwnd == 9.0
 
 
-def test_nice_window_floor():
-    ctl = NiceController(floor=1.0 / 48.0)
-    flow = StubFlow(cwnd=1.0 / 40.0)
-    ctl.on_loss(flow, "dupack")
-    assert flow.cwnd == 1.0 / 48.0
-    ctl.on_loss(flow, "dupack")
-    assert flow.cwnd == 1.0 / 48.0  # never below one packet per 48 RTTs
-
-
 def test_nice_loss_resets_epoch_and_exits_slow_start():
     ctl = NiceController()
     flow = StubFlow(cwnd=8.0)
@@ -393,6 +384,10 @@ def test_ledbat_cwnd_floor_is_one_packet():
     ctl.d_min = 0.026
     flow = StubFlow(cwnd=1.0)
     ctl.on_ack(flow, 0.3, 0.250)  # way above target
+    assert flow.cwnd == 1.0
+    # NICE floors at one packet too (TCP Nice allows 1/48)
+    flow = StubFlow(cwnd=1.5)
+    NiceController().on_loss(flow, "dupack")
     assert flow.cwnd == 1.0
 
 
@@ -568,8 +563,8 @@ def test_make_controller_defaults():
     lp = make_controller("lp")
     assert (lp.alpha, lp.delta, lp.inference_rtts) == (0.125, 0.15, 3.0)
     nice = make_controller("nice")
-    assert (nice.delta, nice.phi) == (0.2, 0.5)
-    assert nice.floor == pytest.approx(1.0 / 48.0)
+    assert (nice.delta, nice.phi, nice.increase_rate) == (0.2, 0.5, 20.0)
+    assert nice._window.n_buckets * nice._window.bucket_s == 10.0  # history_s
     led = make_controller("ledbat")
     assert led.tau == pytest.approx(0.025)
     assert led.gamma * led.tau == pytest.approx(1.0)

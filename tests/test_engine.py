@@ -40,26 +40,13 @@ def test_fifo_within_same_timestamp():
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_schedule_after_is_relative_to_firing_time():
-    sim = Simulator()
-    stamps = []
-
-    def first():
-        stamps.append(sim.now)
-        sim.schedule_after(0.5, "K", lambda: stamps.append(sim.now))
-
-    sim.schedule_at(1.0, "K", first)
-    sim.run_until(2.0)
-    assert stamps == [1.0, 1.5]
-
-
 def test_cascade_at_same_timestamp_fires_in_same_run():
     sim = Simulator()
     fired = []
 
     def first():
         fired.append("first")
-        sim.schedule_after(0.0, "K", lambda: fired.append("second"))
+        sim.schedule_at_ns(sim.now_ns, "K", lambda: fired.append("second"))
 
     sim.schedule_at(0.5, "K", first)
     stats = sim.run_until(0.5)

@@ -1,14 +1,18 @@
 """Every event pending at the horizon has an owner: an ack on a flow's
-return path, or the flow's retransmission or credit timer. Controllers own
-no event: TCP-LP's inference phase is a deadline, so no run logs an
+return path, or the flow's retransmission timer. Controllers own no
+event: TCP-LP's inference phase is a deadline, so no run logs an
 InferencePhaseEnd. An event the engine loses, doubles or keeps after a
-cancel breaks the count."""
+cancel breaks the count, and so does a packet the link counts twice;
+run_scenario checks both books at the horizon and raises SimulationFault."""
+
+import re
+from heapq import heappush
 
 import pytest
 from conftest import built
 
-from lbesim import transport
-from lbesim.engine import Simulator
+from lbesim import network, transport
+from lbesim.engine import Simulator, SimulationFault
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 
 RUNS = {
@@ -23,21 +27,73 @@ RUNS = {
 }
 
 
-def timers(f):
-    """The handles flow f holds for its timers, None for one not set."""
-    return f._rto_timer, f._credit_timer
-
-
 @pytest.mark.parametrize("traces", [False, True], ids=["plain", "traces"])
 @pytest.mark.parametrize("name", RUNS)
 def test_every_pending_event_at_the_horizon_has_an_owner(monkeypatch, name,
                                                          traces):
     flows = built(monkeypatch, transport.FlowEndpoint)
+    links = built(monkeypatch, network.BottleneckLink)
     log = []
     stats = run_scenario(RUNS[name], traces=traces, event_log=log.append).run_stats
     assert not any(" InferencePhaseEnd " in line for line in log)
-    held = [h for f in flows for h in timers(f) if h is not None]
+    held = [f._rto_timer for f in flows if f._rto_timer is not None]
     assert all(Simulator.pending(h) for h in held)
     # the last sample tick schedules nothing, so traces add no event
     assert stats.pending == sum(len(f._acks) for f in flows) + len(held)
     assert stats.events_processed > 5_000
+    [link] = links
+    assert link.total_enqueued == sum(f.packets_sent - f.packets_dropped
+                                      for f in flows)
+
+
+# Faults patched into the engine, the flow or the link; each breaks one of
+# the books on a 10 s Reno+LEDBAT run.
+
+def reschedule_pushing_a_second_entry(monkeypatch):
+    reschedule = Simulator.reschedule
+
+    def doubled(sim, ev, at_ns, kind, fn, label=""):
+        ev = reschedule(sim, ev, at_ns, kind, fn, label)
+        heappush(sim._heap, (ev[0], ev[1], ev))
+        return ev
+    monkeypatch.setattr(Simulator, "reschedule", doubled)
+
+
+def cancel_leaving_the_handle_pending(monkeypatch):
+    monkeypatch.setattr(Simulator, "cancel", lambda sim, ev: True)
+
+
+def ack_arrive_skipping_every_5000th_ack(monkeypatch):
+    ack_arrive, landed = transport.FlowEndpoint._ack_arrive, [0]
+
+    def skipping(flow):
+        landed[0] += 1
+        if landed[0] % 5000:
+            ack_arrive(flow)
+    monkeypatch.setattr(transport.FlowEndpoint, "_ack_arrive", skipping)
+
+
+def link_counting_an_accepted_packet_twice(monkeypatch):
+    enqueue = network.BottleneckLink.enqueue
+
+    def counted_twice(link, now_ns):
+        arrive_ns = enqueue(link, now_ns)
+        if arrive_ns is not None and link.total_enqueued == 1000:
+            link.total_enqueued += 1
+        return arrive_ns
+    monkeypatch.setattr(network.BottleneckLink, "enqueue", counted_twice)
+
+
+@pytest.mark.parametrize("fault, law", [
+    (reschedule_pushing_a_second_entry, "events"),
+    (cancel_leaving_the_handle_pending, "events"),
+    (ack_arrive_skipping_every_5000th_ack, "events"),
+    (link_counting_an_accepted_packet_twice, "packets"),
+], ids=["reschedule", "cancel", "ack-arrive", "link"])
+def test_a_run_whose_books_do_not_close_raises(monkeypatch, fault, law):
+    fault(monkeypatch)
+    with pytest.raises(SimulationFault, match="^books do not close: ") as info:
+        run_scenario(RUNS["reno-ledbat"])
+    # the fault breaks its own law and leaves the other one holding
+    pending, owned, took, accepted = map(int, re.findall(r"\d+", str(info.value)))
+    assert (pending != owned, took != accepted) == (law == "events", law == "packets")

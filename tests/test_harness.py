@@ -162,6 +162,33 @@ def test_flow_params_must_be_a_dict(params):
     assert err.value.key == "at"
 
 
+@pytest.mark.parametrize("flows, path, message, key", [
+    ([FlowConfig("lp", params=None)], "flows.0.params.alpha",
+     "flows.0.params must be a dict, got None", "flows.0.params"),
+    ([FlowConfig("lp", params=(1,))], "flows.0.params.alpha",
+     "flows.0.params must be a dict, got (1,)", "flows.0.params"),
+    (None, "flows.0.params.alpha",
+     "flows must be a list of flow configs, got None", "flows"),
+    (None, "flows.0.protocol",
+     "flows must be a list of flow configs, got None", "flows"),
+    (["reno"], "flows.0.params.alpha",
+     "flows must be a list of flow configs, got ['reno']", "flows"),
+    (["reno"], "flows.0.protocol",
+     "flows must be a list of flow configs, got ['reno']", "flows"),
+], ids=["none-params", "tuple-params", "none-flows-param", "none-flows-protocol",
+        "string-flows-param", "string-flows-protocol"])
+def test_assign_checks_the_shape_of_the_flows_before_it_writes(flows, path,
+                                                               message, key):
+    base = ScenarioConfig(flows=flows)
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)) as err:
+        set_param(base, path, 0.5)
+    assert err.value.key == key
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
+        base.validate()  # the message validate gives
+    with pytest.raises(ConfigError, match="^sweep point 0.5: %s$" % re.escape(message)):
+        run_sweep(SweepSpec(base, path, [0.5]))
+
+
 @pytest.mark.parametrize("field, text, rule, got", [
     ("buffer_pkts", "2.5", "a positive whole number", "2.5"),
     ("buffer_pkts", "true", "a positive whole number", "True"),

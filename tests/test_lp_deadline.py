@@ -11,10 +11,11 @@ flow's return delay, which holds for inference_rtts >= 1 (README, Config
 grammar), so there the two must give the same outputs."""
 
 import pytest
+from conftest import books_also_owning, built
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbesim import harness
+from lbesim import engine, harness
 from lbesim.controllers import LpController
 from lbesim.harness import FlowConfig, ScenarioConfig, run_scenario
 from oracles import StubFlow, lp_inferring
@@ -62,9 +63,9 @@ class EventLp(LpController):
         flow.cwnd = max(flow.ssthresh, 1.0)
         self.phase = "inference"
         duration = self.inference_rtts * (flow.srtt if flow.srtt else rtt)
-        self._inference_handle = flow.sim.schedule_after(
-            duration, INFERENCE_PHASE_END, self._inference_end,
-            label="flow%s" % flow.flow_id)
+        self._inference_handle = flow.sim.schedule_at_ns(
+            flow.sim.now_ns + engine.to_ns(duration), INFERENCE_PHASE_END,
+            self._inference_end, label="flow%s" % flow.flow_id)
 
     def _collapse(self, flow):
         flow.ssthresh = 2.0
@@ -101,6 +102,9 @@ def outputs(cfg, event_log=None):
 def reference_outputs(cfg, event_log=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "LpController", EventLp)  # make_controller's
+        controllers = built(mp, EventLp)
+        books_also_owning(mp, lambda: sum(c._inference_handle is not None
+                                          for c in controllers))
         return outputs(cfg, event_log)
 
 
