@@ -133,17 +133,17 @@ class LpController:
                 self._collapse(flow)
             return  # window frozen while inferring
         if indication:
-            self._react(flow, rtt)
+            self._react(flow)
         elif flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
         else:
             flow.cwnd += 1.0 / flow.cwnd
 
-    def _react(self, flow, rtt):
-        """Halve the window and freeze it while watching for persistence."""
+    def _react(self, flow):
+        """Halve the window and freeze it for inference_rtts smoothed RTTs."""
         flow.ssthresh = max(flow.cwnd / 2.0, 2.0)
         flow.cwnd = max(flow.ssthresh, 1.0)
-        duration = self.inference_rtts * (flow.srtt if flow.srtt else rtt)
+        duration = self.inference_rtts * flow.srtt
         self.inference_end_ns = flow.sim.now_ns + engine.to_ns(duration)
 
     def _collapse(self, flow):
@@ -159,7 +159,7 @@ class LpController:
             if flow.sim.now_ns < self.inference_end_ns:
                 self._collapse(flow)
             else:
-                self._react(flow, flow.srtt if flow.srtt else 0.05)
+                self._react(flow)
         else:
             self.inference_end_ns = -1  # timeout mechanics live in the endpoint
 

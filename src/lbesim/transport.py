@@ -64,7 +64,7 @@ class FlowEndpoint:
         self.rttvar = None
         self.rto = INITIAL_RTO
         self.rto_backoff = 1
-        self._rto_timer = None  # one per flow, moved by every new ack
+        self._rto_timer = None  # one per flow, from its start to the horizon
 
         # receiver side
         self.horizon_ns = math.inf
@@ -89,7 +89,11 @@ class FlowEndpoint:
 
     def start(self):
         self.sim.schedule_at(self.start_at, engine.FLOW_START,
-                             self.try_send, label="start-" + self.label)
+                             self._start, label="start-" + self.label)
+
+    def _start(self):
+        self._arm_rto()
+        self.try_send()
 
     # -- sending ---------------------------------------------------------
 
@@ -102,8 +106,7 @@ class FlowEndpoint:
         nothing else does.
 
         Each packet is offered to the link here, and one that arrives by
-        the horizon goes to on_data_arrival at once. The first one sent
-        with no retransmission timer pending arms it."""
+        the horizon goes to on_data_arrival at once."""
         enqueue = self.link.enqueue
         now_ns = self.sim.now_ns
         now = self.sim.now
@@ -125,8 +128,6 @@ class FlowEndpoint:
                 self.packets_dropped += 1  # silent: sender learns via dupacks/RTO
             elif arrive_ns <= self.horizon_ns:
                 self.on_data_arrival(seq, now, arrive_ns)
-            if self._rto_timer is None:
-                self._arm_rto()
             if resend is not None:
                 break
             seq = None
@@ -192,14 +193,10 @@ class FlowEndpoint:
             if self.in_recovery:
                 self.cwnd = self.ssthresh  # deflate on leaving fast recovery
                 self.in_recovery = False
-            if self.snd_next > ack_no:  # data still in flight
-                # _arm_rto's deadline with rto_backoff back at 1
-                self._rto_timer = sim.reschedule(
-                    self._rto_timer, sim.now_ns + round(rto * engine.NS_PER_S),
-                    engine.RTO_TIMER, self._rto_handler, self.label)
-            elif self._rto_timer is not None:
-                sim.cancel(self._rto_timer)
-                self._rto_timer = None
+            # _arm_rto's deadline at backoff 1; an empty pipe refills below
+            self._rto_timer = sim.reschedule(
+                self._rto_timer, sim.now_ns + round(rto * engine.NS_PER_S),
+                engine.RTO_TIMER, self._rto_handler, self.label)
             self.controller.on_ack(self, rtt, owd)
             self.try_send()
         elif ack_no == self.snd_una and self.snd_next > ack_no:  # in flight
@@ -217,14 +214,16 @@ class FlowEndpoint:
     # -- timers ----------------------------------------------------------
 
     def _arm_rto(self):
-        """Set the retransmission deadline to now + rto * backoff."""
+        """Arm the flow's one RTO timer at now + rto * backoff, at its start
+        and at each firing; acks move it in between, and nothing cancels it."""
         sim = self.sim
         self._rto_timer = sim.schedule_at_ns(
             sim.now_ns + round(self.rto * self.rto_backoff * engine.NS_PER_S),
             engine.RTO_TIMER, self._rto_handler, self.label)
 
     def _on_rto(self):
-        self._rto_timer = None
+        """Collapse the window, double the backoff, re-arm and resend go-back-N
+        from snd_una. With nothing in flight, as in no scenario run, do nothing."""
         if self.in_flight == 0:
             return
         self.ssthresh = max(self.in_flight / 2.0, 2.0)
@@ -233,5 +232,6 @@ class FlowEndpoint:
         self.dupacks = 0
         self.controller.on_loss(self, "timeout")
         self.rto_backoff = min(self.rto_backoff * 2, MAX_RTO_BACKOFF)
+        self._arm_rto()
         self.rtx_next = self.snd_una
         self.try_send()

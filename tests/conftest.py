@@ -2,6 +2,9 @@
 hundred 120-second runs), so it is executed once per session and reused by
 every test that inspects catalog results."""
 
+import os
+import re
+
 import pytest
 
 from lbesim import engine, harness
@@ -44,6 +47,13 @@ def run_catalog():
 @pytest.fixture(scope="session")
 def catalog():
     return run_catalog()
+
+
+def readme_example():
+    """The config example in README, as printed there."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        return re.search(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S).group(1)
 
 
 def by_label(points):

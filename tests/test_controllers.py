@@ -248,7 +248,7 @@ def test_lp_inference_phase_times_out():
     sim = Simulator()
     ctl = LpController()
     flow = StubFlow(cwnd=10.0, ssthresh=2.0, sim=sim)
-    ctl._react(flow, 0.05)
+    ctl._react(flow)
     assert lp_inferring(ctl, flow)
     sim.run_until(3.0 * flow.srtt + 0.01)  # no event: the clock passes the deadline
     assert not lp_inferring(ctl, flow)
@@ -271,7 +271,7 @@ def test_lp_loss_rearms_detector_and_reacts():
 def test_lp_timeout_exits_inference():
     ctl = LpController()
     flow = StubFlow(cwnd=10.0, ssthresh=2.0)
-    ctl._react(flow, 0.05)
+    ctl._react(flow)
     ctl.on_loss(flow, "timeout")
     assert not lp_inferring(ctl, flow)
 
@@ -417,7 +417,7 @@ class HelperLp(LpController):
                 self._collapse(flow)
             return
         if indication:
-            self._react(flow, rtt)
+            self._react(flow)
         elif flow.cwnd < flow.ssthresh:
             flow.cwnd += 1.0
         else:

@@ -1,5 +1,7 @@
 """Every event pending at the horizon has an owner: an ack on a flow's
-return path, or the flow's retransmission timer. Controllers own no
+return path, or the flow's retransmission timer, which is pending from the
+flow's start to the horizon: acks move it, and no flow cancels an event
+(only a reschedule that moves a deadline earlier does). Controllers own no
 event: TCP-LP's inference phase is a deadline, so no run logs an
 InferencePhaseEnd. An event the engine loses, doubles or keeps after a
 cancel breaks the count, and so does a packet the link counts twice;
@@ -44,6 +46,42 @@ def test_every_pending_event_at_the_horizon_has_an_owner(monkeypatch, name,
     [link] = links
     assert link.total_enqueued == sum(f.packets_sent - f.packets_dropped
                                       for f in flows)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_no_flow_cancels_and_every_new_ack_finds_its_timer_pending(
+        monkeypatch, name):
+    flows = built(monkeypatch, transport.FlowEndpoint)
+    cancel, reschedule = Simulator.cancel, Simulator.reschedule
+    on_ack_arrival = transport.FlowEndpoint.on_ack_arrival
+    moving_earlier, cancels, new_acks = [False], [], [0]
+
+    def cancelling(sim, ev):
+        cancels.append(moving_earlier[0])
+        return cancel(sim, ev)
+
+    def rescheduling(sim, ev, at_ns, kind, fn, label=""):
+        moving_earlier[0] = (ev is not None and Simulator.pending(ev)
+                             and at_ns < ev[0])
+        try:
+            return reschedule(sim, ev, at_ns, kind, fn, label)
+        finally:
+            moving_earlier[0] = False
+
+    def checking(flow, ack_no, owd, echo_sent_at):
+        if ack_no > flow.snd_una:
+            new_acks[0] += 1
+            assert Simulator.pending(flow._rto_timer)
+        on_ack_arrival(flow, ack_no, owd, echo_sent_at)
+
+    monkeypatch.setattr(Simulator, "cancel", cancelling)
+    monkeypatch.setattr(Simulator, "reschedule", rescheduling)
+    monkeypatch.setattr(transport.FlowEndpoint, "on_ack_arrival", checking)
+    run_scenario(RUNS[name])
+    assert new_acks[0] > 5_000
+    assert all(cancels), "%d of %d cancels not from a reschedule moving " \
+        "a deadline earlier" % (cancels.count(False), len(cancels))
+    assert all(Simulator.pending(f._rto_timer) for f in flows)
 
 
 # Faults patched into the engine, the flow or the link; each breaks one of

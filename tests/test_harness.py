@@ -9,6 +9,7 @@ import sys
 from array import array
 
 import pytest
+from conftest import readme_example
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -1090,13 +1091,6 @@ def test_cli_config_error_leaves_event_log_untouched(tmp_path, capsys,
 def test_cli_experiment_requires_protocol_when_needed(capsys):
     assert cli.main(["experiment", "fig4"]) == 2
     assert "protocol" in capsys.readouterr().err
-
-
-def readme_example():
-    """The config example in README, as printed there."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        return re.search(r"^```ini\n(.*?)^```$", fh.read(), re.M | re.S).group(1)
 
 
 def test_cli_runs_the_readme_example_without_numpy(tmp_path):

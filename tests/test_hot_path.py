@@ -79,8 +79,8 @@ def test_calls_per_packet_sent_stay_within_budget(monkeypatch):
     # reschedule, on_ack and try_send; try_send calls enqueue, which
     # returns the arrival time, and then on_data_arrival, which runs
     # return_path_send, schedule_from_ns and schedule_at_ns: 10 calls. The
-    # run makes 9.68 per packet; with _emit, backlog() and _arm_rto on the
-    # path it made 12.66.
+    # run makes 9.66 per packet (77,104 calls for 7,984 packets); with
+    # _emit, backlog() and _arm_rto on the path it made 12.66.
     flows = built(monkeypatch, transport.FlowEndpoint)
     cfg = ScenarioConfig(horizon_s=10.0, flows=DUEL).validate()
     n = [0]

@@ -151,7 +151,7 @@ def test_window_is_frozen_until_the_nanosecond_before_the_deadline():
     ctl = LpController(inference_rtts=3.0)
     flow = StubFlow(cwnd=10.0, ssthresh=2.0)
     flow.sim.run_until(1.5)
-    ctl._react(flow, 0.07)  # srtt 50 ms: the phase lasts 150 ms
+    ctl._react(flow)  # srtt 50 ms: the phase lasts 150 ms
     assert ctl.inference_end_ns == 1_650_000_000
     flow.sim.run_until(1.649999999)
     assert lp_inferring(ctl, flow)

@@ -108,6 +108,14 @@ def test_rto_does_nothing_when_everything_is_acked():
     f._on_rto()
     assert f.cwnd == 7.0
     assert f.packets_sent == 0
+    assert f._rto_timer is None
+    # a firing with nothing in flight arms no timer and sends nothing
+    f._arm_rto()
+    log = event_log(sim)
+    assert sim.run_until(5.0).pending == 0
+    assert log == ["1.000000000 RtoTimer flow0"]
+    assert not Simulator.pending(f._rto_timer)
+    assert (f.cwnd, f.rto_backoff, f.packets_sent) == (7.0, 1, 0)
 
 
 def ack(ack_no, now=0.0):
